@@ -14,18 +14,18 @@ lines: prune_eps, eq_eps, root_eps, cluster_eps), then the ZEON_TOL
 environment variable (eq_eps only), then built-in defaults.
 
 ``--batch <file>`` runs one command per line (``#`` comments and blank
-lines skipped); lines are processed concurrently and their outputs
-emitted in input order.
+lines skipped); lines run one after another in this process, and each
+line's output is emitted before the next line's.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from io import StringIO
 from pathlib import Path
 from typing import Any, TextIO
@@ -66,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zeon", description=__doc__.splitlines()[0])
     parser.add_argument("--batch", metavar="FILE",
@@ -438,23 +439,15 @@ def _run_batch(path: str, out: TextIO, err: TextIO) -> int:
         line = raw.strip()
         if line and not line.startswith("#"):
             jobs.append(shlex.split(line))
-    if not jobs:
-        return 0
-
-    def run_one(args: list[str]) -> tuple[int, str, str]:
+    code = 0
+    for args in jobs:
         buf_out, buf_err = StringIO(), StringIO()
         try:
-            code = _dispatch(args, buf_out, buf_err, in_batch=True)
+            line_code = _dispatch(args, buf_out, buf_err, in_batch=True)
         except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 0
-        return code, buf_out.getvalue(), buf_err.getvalue()
-
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        results = list(pool.map(run_one, jobs))
-    code = 0
-    for line_code, line_out, line_err in results:
-        out.write(line_out)
-        err.write(line_err)
+            line_code = exc.code if isinstance(exc.code, int) else 0
+        out.write(buf_out.getvalue())
+        err.write(buf_err.getvalue())
         if code == 0 and line_code != 0:
             code = line_code
     return code

@@ -18,10 +18,9 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .algebra import (
     Tolerance,
@@ -319,6 +318,18 @@ def _mask_ix(mask: int) -> tuple[int, ...]:
     return mask_to_indices(mask)
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on its first call.
+
+    Importing scipy.optimize costs more than the rest of ``import zeon``
+    together, and only the least-squares fallbacks of
+    :func:`nilpotent_sqrt` use it, so the import waits until one runs.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
 def _lsq(residual, x0: np.ndarray, n_res: int):
     # lm rejects underdetermined systems; fall back to trf there
     method = "lm" if n_res >= x0.size else "trf"
@@ -394,9 +405,12 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
     for ``g = 1`` and from damped least squares above that (for odd
     minimum grade 2g+1 the bottom is a trial null-square blade instead),
     and each higher layer then solves a linear minimum-norm system,
-    since ``2 v_g x`` is linear in ``x``.  When the layers do not
-    verify, a least-squares fit over all layers at once is the last
-    resort.
+    since ``2 v_g x`` is linear in ``x``.  For ``g = 1`` the grade-2 part
+    can leave one product ``a_p a_q`` of the bottom free; the upper
+    grades of ``w`` then give the split ``a_p / a_q`` to leading order
+    (see :func:`_grade_one_bottoms`).  When the layers do not verify, a
+    least-squares fit over all layers at once is the last resort; only
+    that fit and a bottom layer of grade >= 2 import scipy.
 
     Raises :class:`SqrtNotFound` when nothing verifies; ``certified`` is
     True only for the provable grade obstruction.
@@ -414,8 +428,6 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
             f"input has minimum grade {m}",
             certified=True,
         )
-    n = w.n
-    scale = max(1.0, w.max_abs())
     if m % 2 == 1:
         v = _odd_layered_sqrt(w, (m - 1) // 2, tol)
         if v is None:
@@ -428,9 +440,8 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
         )
     g = m // 2
     v = _layered_sqrt(w, g, tol)
-    if v is not None and (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
-        return v
-    v = _search_square_root(w, g, tol)
+    if v is None:
+        v = _search_square_root(w, g, tol)
     if v is not None:
         return v
     raise SqrtNotFound("no square root found by layered search",
@@ -491,15 +502,25 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
 
 
 def _layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
-    """Grade-layered construction of v with v*v = w, min grade g."""
+    """Grade-layered construction of v with v*v = w, min grade g.
+
+    Each candidate bottom layer is completed upward, and the first whose
+    exact product reproduces ``w`` is returned.
+    """
     gen_bits = _support_generators(w)
     if g > len(gen_bits):
         return None
-    base_target = w.grade_part(2 * g)
-    v_g = _fit_bottom_layer(base_target, gen_bits, g, tol)
-    if v_g is None:
-        return None
-    return _complete_layers(w, v_g, g, gen_bits)
+    if g == 1:
+        bottoms = _grade_one_bottoms(w, gen_bits, tol)
+    else:
+        v_g = _fit_bottom_layer(w.grade_part(2 * g), gen_bits, g, tol)
+        bottoms = [] if v_g is None else [v_g]
+    scale = max(1.0, w.max_abs())
+    for v_g in bottoms:
+        v = _complete_layers(w, v_g, g, gen_bits)
+        if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
+            return v
+    return None
 
 
 def _odd_layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
@@ -533,15 +554,13 @@ def _odd_layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
 
 def _fit_bottom_layer(target: Zeon, gen_bits: list[int], g: int,
                       tol: Tolerance) -> Zeon | None:
-    """Solve (v_g)**2 = target for homogeneous v_g of grade g.
+    """Solve (v_g)**2 = target for homogeneous v_g of grade g >= 2.
 
-    Grade 1 has a closed form (:func:`_grade_one_bottom`).  Higher
+    Grade 1 has a closed form (:func:`_grade_one_bottoms`).  Higher
     grades are quadratic in the unknown coefficients, so they run a
-    small multi-start Levenberg-Marquardt fit.  Either way a solution is
-    kept only when the squared result reproduces the target to eq_eps.
+    small multi-start Levenberg-Marquardt fit.  A solution is kept only
+    when the squared result reproduces the target to eq_eps.
     """
-    if g == 1:
-        return _grade_one_bottom(target, gen_bits, tol)
     n = target.n
     cands = _blades_of_grade(gen_bits, g)
     if not cands or len(cands) > 120:
@@ -577,40 +596,60 @@ def _fit_bottom_layer(target: Zeon, gen_bits: list[int], g: int,
     return None
 
 
-def _grade_one_bottom(target: Zeon, gen_bits: list[int],
-                      tol: Tolerance) -> Zeon | None:
-    """Closed-form ``v = sum_p a_p z{p}`` with ``v*v = target``.
+def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
+                       tol: Tolerance) -> Iterator[Zeon]:
+    """Closed-form candidates ``v = sum_p a_p z{p}`` with ``v*v = w_2``.
 
     ``v*v`` has coefficient ``t_pq = 2 a_p a_q`` at ``z{p,q}``.  Pivoting
     on the largest ``t_pq`` fixes ``a_p**2 = t_pq t_pr / (2 t_qr)``
-    through a third index ``r`` linked to both; without one, ``a_p`` and
-    ``a_q`` only meet in their product and ``a_p = sqrt(t_pq / 2)`` is
-    taken.  Every other coefficient follows as ``a_r = t_pr / (2 a_p)``.
-    This recovers a grade-1 root whenever one exists (up to that free
-    product split), and the exact product decides.
+    through a third index ``r`` linked to both, and every other
+    coefficient follows as ``a_r = t_pr / (2 a_p)``.  Without a linked
+    index, ``a_p`` and ``a_q`` only meet in their product, which the
+    grade-2 part leaves free.  ``a_p = sqrt(t_pq / 2)`` is yielded first,
+    then the splits read from the upper grades of ``w``: for a blade
+    ``p|K`` of ``w`` with ``q`` not in ``K``, leading order gives
+    ``w[p|K] ~ 2 a_p x_K`` and ``w[q|K] ~ 2 a_q x_K``, so
+    ``a_p**2 = (t_pq / 2) w[p|K] / w[q|K]``.  Nothing is yielded when the
+    first candidate misses the grade-2 part, since no split changes
+    whether it matches there.  The caller verifies the completed root.
     """
-    t = dict(zip(target.support_masks(), target._coef.tolist()))
-    pivot = max(t, key=lambda mk: abs(t[mk]))
+    c = dict(zip(w.support_masks(), w._coef.tolist()))
+    target = w.grade_part(2)
+    pivot = max(target.support_masks(), key=lambda mk: abs(c[mk]))
     p, q = (b for b in gen_bits if b & pivot)
-    t_pq = t[pivot]
+    t_pq = c[pivot]
     others = [b for b in gen_bits if not b & pivot]
 
+    def bottom(a_p_sq: complex) -> Zeon:
+        a_p = cmath.sqrt(a_p_sq)
+        coeffs = {p: a_p, q: t_pq / (2.0 * a_p)}
+        for r in others:
+            coeffs[r] = c.get(p | r, 0j) / (2.0 * a_p)
+        return Zeon(w.n, [(_mask_ix(b), a) for b, a in coeffs.items()])
+
     def linked(r: int) -> complex:
-        return t.get(p | r, 0j) * t.get(q | r, 0j)
+        return c.get(p | r, 0j) * c.get(q | r, 0j)
 
     link = max(others, key=lambda r: abs(linked(r)), default=None)
     if link is not None and linked(link) != 0:
-        a_p = cmath.sqrt(t_pq * t[p | link] / (2.0 * t[q | link]))
+        splits = [t_pq * c[p | link] / (2.0 * c[q | link])]
     else:
-        a_p = cmath.sqrt(t_pq / 2.0)
-    coeffs = {p: a_p, q: t_pq / (2.0 * a_p)}
-    for r in others:
-        coeffs[r] = t.get(p | r, 0j) / (2.0 * a_p)
-    v = Zeon(target.n, [(_mask_ix(b), c) for b, c in coeffs.items()])
+        splits = [t_pq / 2.0]
+        for mk, w_pk in c.items():
+            if mk.bit_count() < 3 or not mk & p or mk & q:
+                continue
+            w_qk = c.get((mk ^ p) | q, 0j)
+            if w_qk != 0:
+                split = t_pq / 2.0 * w_pk / w_qk
+                if split not in splits:
+                    splits.append(split)
+    v = bottom(splits[0])
     scale = max(1.0, target.max_abs())
-    if (v.mul(v) - target).max_abs() <= tol.eq_eps * scale:
-        return v
-    return None
+    if (v.mul(v) - target).max_abs() > tol.eq_eps * scale:
+        return
+    yield v
+    for split in splits[1:]:
+        yield bottom(split)
 
 
 # -- quadratics ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from io import StringIO
 
 import pytest
 
+import zeon.poly
 from zeon import Zeon, parse_zeon
 from zeon.cli import _dispatch, main
 
@@ -465,3 +466,17 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "1 - z{1}\n"
+
+    def test_cold_start_leaves_scipy_unimported(self):
+        # scipy.optimize costs more than the rest of a cold start; only
+        # the least-squares fallbacks of nilpotent_sqrt may import it
+        script = ("import sys\n"
+                  "from zeon.cli import main\n"
+                  "main(['inv', '--n', '1', '1 + z{1}'])\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 - z{1}", "False"]
+        # a plain module attribute, so that it can be wrapped or patched
+        assert callable(vars(zeon.poly)["least_squares"])

@@ -7,6 +7,7 @@ reference in ``oracle.py`` (see the derivation comments next to each).
 import numpy as np
 import pytest
 
+import zeon.poly
 from zeon import (
     DimensionMismatch,
     DivisorNotMonicizable,
@@ -394,6 +395,23 @@ class TestNilpotentSqrt:
     def test_grade_two_blade_multiples(self, c):
         # c z{1,2} = (a z1 + b z2)^2 whenever 2ab = c
         w = Z12.scale(c)
+        v = nilpotent_sqrt(w)
+        got = dense_mul(to_dense(v), to_dense(v))
+        assert np.abs(got - to_dense(w)).max() < 1e-12
+
+    @pytest.mark.parametrize("v0", [
+        Zeon(6, {(4,): 1, (6,): 2, (1, 2, 5): 1}),
+        Zeon(4, {(1,): 1, (2,): 2, (3, 4): 1}),
+    ])
+    def test_grade_one_split_read_from_upper_grades(self, v0, monkeypatch):
+        # the grade-2 part 4 z{p,q} fixes only a_p a_q = 2; the grade-3
+        # blades 2 z{p}K and 4 z{q}K give a_p / a_q = 1/2, so the root
+        # comes in closed form and least squares must not run
+        def refuse(*args, **kwargs):
+            raise AssertionError("least squares called")
+
+        monkeypatch.setattr(zeon.poly, "least_squares", refuse)
+        w = v0.mul(v0)
         v = nilpotent_sqrt(w)
         got = dense_mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
