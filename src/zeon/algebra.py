@@ -27,7 +27,14 @@ from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from ._backend import backend_name, combine_terms, mul_terms
+from ._backend import (
+    _EMPTY_COEF,
+    _EMPTY_IDX,
+    add_terms,
+    backend_name,
+    combine_terms,
+    mul_terms,
+)
 from .errors import DimensionMismatch, NotInvertible
 
 __all__ = [
@@ -131,6 +138,16 @@ def blade_mul(a: int, b: int) -> int | None:
     return None if a & b else a | b
 
 
+def _check_n(n: int) -> int:
+    if not (0 <= n <= MAX_GENERATORS):
+        raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}")
+    return int(n)
+
+
+# the empty blade's mask, shared by every scalar element
+_SCALAR_IDX = np.zeros(1, dtype=np.uint64)
+_SCALAR_IDX.setflags(write=False)
+
 ZeonLike = Union["Zeon", complex, float, int]
 
 
@@ -146,8 +163,7 @@ class Zeon:
         ``Zeon(3, {(): 2.0, (1, 2): 1j})`` is ``2 + i*z{1,2}``; an
         iterable of ``(indices, coefficient)`` pairs works as well.
         """
-        if not (0 <= n <= MAX_GENERATORS):
-            raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}")
+        n = _check_n(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
         masks = []
         coefs = []
@@ -166,7 +182,7 @@ class Zeon:
         idx, coef = combine_terms(
             np.asarray(masks, dtype=np.uint64), raw, _current_tol.prune_eps,
         )
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_idx", idx)
         object.__setattr__(self, "_coef", coef)
         idx.setflags(write=False)
@@ -191,12 +207,18 @@ class Zeon:
     @classmethod
     def zero(cls, n: int) -> "Zeon":
         """The zero element."""
-        return cls(n, ())
+        return cls._raw(_check_n(n), _EMPTY_IDX, _EMPTY_COEF)
 
     @classmethod
     def scalar(cls, n: int, c: complex) -> "Zeon":
         """The scalar ``c`` as an element of the ``n``-generator algebra."""
-        return cls(n, {(): c})
+        n = _check_n(n)
+        c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError("coefficients must be finite")
+        if abs(c) <= _current_tol.prune_eps:
+            return cls._raw(n, _EMPTY_IDX, _EMPTY_COEF)
+        return cls._raw(n, _SCALAR_IDX, np.array([c], dtype=np.complex128))
 
     @classmethod
     def one(cls, n: int) -> "Zeon":
@@ -294,11 +316,8 @@ class Zeon:
 
     def add(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        idx, coef = combine_terms(
-            np.concatenate([self._idx, other._idx]),
-            np.concatenate([self._coef, other._coef]),
-            _current_tol.prune_eps,
-        )
+        idx, coef = add_terms(self._idx, self._coef, other._idx, other._coef,
+                              _current_tol.prune_eps)
         return Zeon._raw(self.n, idx, coef)
 
     def scale(self, c: complex) -> "Zeon":

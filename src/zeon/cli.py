@@ -30,7 +30,13 @@ from io import StringIO
 from pathlib import Path
 from typing import Any, TextIO
 
-from .algebra import Tolerance, Zeon, kth_roots
+from .algebra import (
+    Tolerance,
+    Zeon,
+    default_tolerance,
+    kth_roots,
+    set_default_tolerance,
+)
 from .analytic import ZeonExtension, by_name, extend_eval, preimage
 from .errors import ZeonError
 from .poly import QuadraticKind, ZeonPoly, divide, quadratic_solve
@@ -414,7 +420,15 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
         return 1
     try:
         tol, cluster_eps = _resolve_tolerance(ns)
-        return _COMMANDS[ns.command](ns, tol, cluster_eps, out, err)
+        # elements prune against the process default, so parsing and
+        # every intermediate must see the resolved tolerance; restoring
+        # it keeps one batch line's tolerance out of the next
+        previous = default_tolerance()
+        set_default_tolerance(tol)
+        try:
+            return _COMMANDS[ns.command](ns, tol, cluster_eps, out, err)
+        finally:
+            set_default_tolerance(previous)
     except _UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}),
               file=err)

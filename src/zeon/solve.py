@@ -20,6 +20,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -344,11 +345,20 @@ class ZeroSetDescription:
 class SolveReport:
     """Everything ``split`` learned about a polynomial's zero set."""
 
-    input_digest: str
+    poly: ZeonPoly
     scalar_spectrum: tuple[ScalarRoot, ...]
     spectral_zeros: tuple[SpectralZero, ...]
     families: tuple[ZeroSetDescription, ...]
     warnings: tuple[str, ...]
+
+    @cached_property
+    def input_digest(self) -> str:
+        """First 16 hex digits of the SHA-256 of the input's canonical text.
+
+        Computed on first read, so ``split`` does not format its input.
+        """
+        from .textio import format_poly
+        return hashlib.sha256(format_poly(self.poly).encode()).hexdigest()[:16]
 
 
 def split(phi: ZeonPoly, tol: Tolerance | None = None,
@@ -406,11 +416,8 @@ def split(phi: ZeonPoly, tol: Tolerance | None = None,
                 f"{root.multiplicity}; no spectrally simple zero exists "
                 "above it and the zero set there was not determined"
             )
-    from .textio import format_poly
-    text = format_poly(phi)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     return SolveReport(
-        input_digest=digest,
+        poly=phi,
         scalar_spectrum=tuple(spectrum),
         spectral_zeros=tuple(zeros),
         families=tuple(families),

@@ -69,6 +69,54 @@ def test_constructor_rejects_bad_indices():
         Zeon(2, [((1,), float("nan"))])
 
 
+def test_scalar_rejects_what_the_constructor_rejects():
+    for bad in (float("nan"), complex(1.0, float("inf")), float("-inf")):
+        with pytest.raises(ValueError):
+            Zeon.scalar(2, bad)
+    with pytest.raises(ValueError):
+        Zeon.scalar(MAX_GENERATORS + 1, 1)
+    with pytest.raises(ValueError):
+        Zeon.scalar(-1, 1)
+    with pytest.raises(ValueError):
+        Zeon.zero(MAX_GENERATORS + 1)
+    with pytest.raises(ValueError):
+        Zeon.one(MAX_GENERATORS + 1)
+
+
+def test_scalar_prunes_at_prune_eps():
+    eps = default_tolerance().prune_eps
+    for c in (1e-16, eps, -eps, 1j * eps):
+        u = Zeon.scalar(3, c)
+        assert u.is_zero()
+        assert u == Zeon.zero(3) == Zeon(3, {(): c})
+    assert Zeon.scalar(3, 2 * eps).scalar_part() == 2 * eps
+    old = default_tolerance()
+    try:
+        set_default_tolerance(Tolerance(prune_eps=1e-3, eq_eps=1e-2))
+        assert Zeon.scalar(1, 1e-3).is_zero()
+        assert not Zeon.scalar(1, 2e-3).is_zero()
+    finally:
+        set_default_tolerance(old)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, MAX_GENERATORS])
+def test_unit_and_zero_match_general_constructor(n):
+    cases = [
+        (Zeon.one(n), Zeon(n, {(): 1})),
+        (Zeon.zero(n), Zeon(n, ())),
+        (Zeon.scalar(n, 2 - 1j), Zeon(n, [((), 2 - 1j)])),
+    ]
+    for fast, general in cases:
+        assert fast == general
+        assert hash(fast) == hash(general)
+        assert fast.n == general.n == n
+        assert fast.terms() == general.terms()
+        assert fast._idx.dtype == np.uint64
+        assert fast._coef.dtype == np.complex128
+        assert not fast._idx.flags.writeable
+        assert not fast._coef.flags.writeable
+
+
 def test_elements_are_immutable():
     u = z(1, ((1,), 1.0))
     with pytest.raises(AttributeError):

@@ -1,4 +1,4 @@
-"""Backend selection: numba kernel vs pure-numpy fallback."""
+"""Backend selection, and the term kernels against the dense oracle."""
 
 import importlib.util
 import json
@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_zeon
+from conftest import random_zeon, to_dense
+from oracle import dense_from_terms, dense_mul
 from zeon import Zeon, backend_name
-from zeon._backend import mul_terms, mul_terms_numpy
+from zeon import _backend
+from zeon._backend import add_terms, combine_terms, mul_terms, mul_terms_numpy
 
 PROBE = """
 import json
@@ -74,6 +76,164 @@ class TestSelection:
         assert max(fallback["unit"], reference["unit"]) < 1e-12
 
 
+def indices_of(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def dense_of(n: int, masks, coefs) -> np.ndarray:
+    """Dense vector of raw (mask, coefficient) pairs, duplicates summed."""
+    return dense_from_terms(n, [(indices_of(int(m)), complex(c))
+                                for m, c in zip(masks, coefs)])
+
+
+def assert_matches(got, want: np.ndarray, prune: float) -> None:
+    """``got`` is canonical and holds exactly the terms of ``want`` above
+    ``prune``, to rounding."""
+    masks, coefs = got
+    assert masks.dtype == np.uint64 and coefs.dtype == np.complex128
+    assert masks.shape == coefs.shape
+    assert np.all(masks[1:] > masks[:-1])
+    assert np.all(np.abs(coefs) > prune)
+    expected = np.flatnonzero(np.abs(want) > prune)
+    assert masks.tolist() == expected.tolist()
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(coefs - want[expected]).max(initial=0.0) < 1e-14 * scale
+
+
+def canonical(rng, n: int, size: int):
+    """``size`` distinct ascending masks over n generators, random coefficients."""
+    masks = np.sort(rng.choice(1 << n, size=size, replace=False))
+    coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return masks.astype(np.uint64), coefs
+
+
+@pytest.fixture(params=["small", "wide"])
+def path(request, monkeypatch):
+    """Force every kernel onto its dict path or its numpy path."""
+    limit = 10**9 if request.param == "small" else 0
+    monkeypatch.setattr(_backend, "SMALL_PAIRS", limit)
+    monkeypatch.setattr(_backend, "SMALL_TERMS", limit)
+    return request.param
+
+
+N = 8
+# operand sizes around each threshold: pairs 90, 96, 100 against
+# SMALL_PAIRS; totals 15, 16, 17 against SMALL_TERMS
+MUL_SIZES = [(1, 1), (9, 10), (8, 12), (10, 10), (16, 16)]
+ADD_SIZES = [(0, 3), (1, 1), (7, 8), (8, 8), (8, 9), (40, 40)]
+RAW_SIZES = [1, 15, 16, 17, 100]
+
+
+class TestSmallOperandPaths:
+    def test_thresholds_sit_between_the_sizes_tested(self):
+        pairs = sorted(a * b for a, b in MUL_SIZES)
+        assert pairs[0] <= _backend.SMALL_PAIRS < pairs[-1]
+        totals = sorted(a + b for a, b in ADD_SIZES)
+        assert totals[0] <= _backend.SMALL_TERMS < totals[-1]
+
+    @pytest.mark.parametrize("sizes", MUL_SIZES)
+    def test_product_matches_oracle(self, rng, path, sizes):
+        for _ in range(5):
+            ia, ca = canonical(rng, N, sizes[0])
+            ib, cb = canonical(rng, N, sizes[1])
+            want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
+            for prune in (0.0, 0.5):
+                assert_matches(mul_terms_numpy(ia, ca, ib, cb, prune),
+                               want, prune)
+
+    @pytest.mark.parametrize("sizes", MUL_SIZES)
+    def test_product_at_measured_threshold(self, rng, sizes):
+        # no forcing: the size picks the path
+        ia, ca = canonical(rng, N, sizes[0])
+        ib, cb = canonical(rng, N, sizes[1])
+        want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
+        assert_matches(mul_terms_numpy(ia, ca, ib, cb, 1e-14), want, 1e-14)
+
+    @pytest.mark.parametrize("sizes", ADD_SIZES)
+    def test_sum_matches_oracle(self, rng, path, sizes):
+        for _ in range(5):
+            ia, ca = canonical(rng, N, sizes[0])
+            ib, cb = canonical(rng, N, sizes[1])
+            want = dense_of(N, ia, ca) + dense_of(N, ib, cb)
+            for prune in (0.0, 0.5):
+                assert_matches(add_terms(ia, ca, ib, cb, prune), want, prune)
+
+    @pytest.mark.parametrize("sizes", ADD_SIZES)
+    def test_sum_at_measured_threshold(self, rng, sizes):
+        ia, ca = canonical(rng, N, sizes[0])
+        ib, cb = canonical(rng, N, sizes[1])
+        want = dense_of(N, ia, ca) + dense_of(N, ib, cb)
+        assert_matches(add_terms(ia, ca, ib, cb, 1e-14), want, 1e-14)
+
+    @pytest.mark.parametrize("size", RAW_SIZES)
+    def test_combine_matches_oracle(self, rng, path, size):
+        for _ in range(5):
+            # few distinct masks, so most entries are duplicates
+            masks = rng.integers(0, 16, size=size).astype(np.uint64)
+            coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            want = dense_of(N, masks, coefs)
+            for prune in (0.0, 0.5):
+                assert_matches(combine_terms(masks, coefs, prune), want,
+                               prune)
+
+    def test_exact_cancellation(self, path):
+        # (z1 + z2)(z1 - z2) = z1 z2 - z1 z2 = 0 exactly
+        a, b = Zeon(2, {(1,): 1, (2,): 1}), Zeon(2, {(1,): 1, (2,): -1})
+        assert (a * b).is_zero()
+        u = Zeon(3, {(): 2.5, (1, 3): -1j, (2,): 0.125})
+        assert (u + (-u)).is_zero()
+        assert (u - u).is_zero()
+        assert (u + (1 - u)) == Zeon.one(3)
+        masks = np.array([5, 5, 2, 5, 2], dtype=np.uint64)
+        coefs = np.array([1.5, -2.0, 1j, 0.5, -1j], dtype=np.complex128)
+        m, c = combine_terms(masks, coefs, 0.0)
+        assert m.size == 0 and c.size == 0
+
+    def test_duplicate_masks_in_constructor(self, path):
+        terms = [((1,), 1.0), ((), 2.0), ((1,), 2.5), ((2,), 1j),
+                 ((1,), -3.5), ((), 0.25), ((1, 2), 1.0), ((1, 2), 1.0)]
+        u = Zeon(2, terms)
+        assert u.support_masks() == [0, 2, 3]
+        assert np.array_equal(to_dense(u), dense_from_terms(2, terms))
+        assert u.coeff((1,)) == 0
+
+    def test_coefficient_exactly_at_prune_is_dropped(self, path):
+        # every output term is pruned, not only the ones that collided
+        prune = 1e-3
+        one = np.array([1], dtype=np.uint64)
+        two = np.array([2], dtype=np.uint64)
+        at = np.array([prune], dtype=np.complex128)
+        above = np.array([2 * prune], dtype=np.complex128)
+        m, c = add_terms(one, at, two, above, prune)
+        assert m.tolist() == [2] and c.tolist() == [2 * prune]
+        m, c = add_terms(one, above, one, -at, prune)
+        assert m.size == 0
+        # an empty operand is no shortcut: the other one is pruned too
+        empty_m, empty_c = one[:0], at[:0]
+        assert add_terms(one, at, empty_m, empty_c, prune)[0].size == 0
+        assert add_terms(empty_m, empty_c, one, at, prune)[0].size == 0
+        # 0.5 * (2 * prune) is exactly prune
+        m, c = mul_terms_numpy(one, np.array([0.5 + 0j]), two, above, prune)
+        assert m.size == 0
+        m, c = mul_terms_numpy(one, np.array([1 + 0j]), two, above, prune)
+        assert m.tolist() == [3]
+        m, c = combine_terms(np.array([4, 1], dtype=np.uint64),
+                             np.array([prune, -2 * prune]), prune)
+        assert m.tolist() == [1] and c.tolist() == [-2 * prune]
+
+    def test_empty_operands(self, path):
+        empty_m = np.empty(0, dtype=np.uint64)
+        empty_c = np.empty(0, dtype=np.complex128)
+        ia, ca = np.array([0, 3], dtype=np.uint64), np.array([1 + 0j, 2j])
+        for got in (mul_terms_numpy(empty_m, empty_c, ia, ca, 0.0),
+                    mul_terms_numpy(ia, ca, empty_m, empty_c, 0.0),
+                    add_terms(empty_m, empty_c, empty_m, empty_c, 0.0),
+                    combine_terms(empty_m, empty_c, 0.0)):
+            assert got[0].size == 0 and got[1].size == 0
+        m, c = add_terms(empty_m, empty_c, ia, ca, 0.0)
+        assert m.tolist() == [0, 3] and c.tolist() == [1, 2j]
+
+
 class TestKernelAgreement:
     def test_products_match_elementwise(self, rng):
         for n in range(1, 7):
@@ -82,13 +242,10 @@ class TestKernelAgreement:
                 b = random_zeon(rng, n)
                 ia, ca = a._idx, a._coef
                 ib, cb = b._idx, b._coef
-                mi, mc = mul_terms(ia, ca, ib, cb, 0.0)
-                pi, pc = mul_terms_numpy(ia, ca, ib, cb, 0.0)
-                assert np.array_equal(mi, pi)
-                # duplicate masks are summed in different orders, so
-                # agreement is to a few ulps, not bitwise
-                scale = max(1.0, float(np.abs(mc).max(initial=0.0)))
-                assert np.abs(mc - pc).max(initial=0.0) < 1e-14 * scale
+                want = dense_mul(to_dense(a), to_dense(b))
+                for fn in (mul_terms, mul_terms_numpy):
+                    got = fn(ia, ca, ib, cb, 0.0)
+                    assert_matches(got, want, 0.0)
 
     def test_empty_operand(self):
         z = Zeon.zero(2)

@@ -9,7 +9,7 @@ from io import StringIO
 import pytest
 
 import zeon.poly
-from zeon import Zeon, parse_zeon
+from zeon import Zeon, default_tolerance, parse_zeon
 from zeon.cli import _dispatch, main
 
 Z1 = Zeon.blade(2, (1,))
@@ -285,6 +285,38 @@ class TestTolerance:
         code, _, err = run("inv", "--n", "1", "--config", str(cfg), "1")
         assert code == 1
         assert error_name(err) == "ParseError"
+
+    # a coarse prune_eps drops the 0.0001 term while parsing; the
+    # default keeps it and the inverse carries it to z{1,2}
+    DUST = "1 + 0.0001 z{1} + z{2}"
+    PRUNED = "1 - z{2}"
+    KEPT = "1 - 0.0001*z{1} - z{2} + 0.0002*z{1,2}"
+
+    def coarse_config(self, tmp_path):
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("prune_eps = 1e-3\neq_eps = 1e-2\n")
+        return cfg
+
+    def test_config_prune_eps_applies(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("ZEON_TOL", raising=False)
+        before = default_tolerance()
+        code, out, err = run("inv", "--n", "2", "--config",
+                             str(self.coarse_config(tmp_path)), self.DUST)
+        assert (code, out, err) == (0, self.PRUNED + "\n", "")
+        assert default_tolerance() is before
+        code, out, _ = run("inv", "--n", "2", self.DUST)
+        assert (code, out) == (0, self.KEPT + "\n")
+
+    def test_config_does_not_leak_to_next_batch_line(self, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.delenv("ZEON_TOL", raising=False)
+        f = tmp_path / "cmds.txt"
+        f.write_text(
+            f'inv --n 2 --config {self.coarse_config(tmp_path)} "{self.DUST}"\n'
+            f'inv --n 2 "{self.DUST}"\n')
+        code, out, err = run("--batch", str(f))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [self.PRUNED, self.KEPT]
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("ZEON_TOL", "tight")
