@@ -24,22 +24,16 @@ terms, the dict canonicalisation between 12 and 20.  Over whole
 passes of the benchmark's sparse and spectral workloads, any choice
 from 48 to 160 pairs and 12 to 32 terms ran within 2% of these.
 
-The product is selectable: a numba ``@njit`` kernel is the default
-whenever numba imports cleanly, the numpy-and-dict path above
-otherwise.  Set ``ZEON_BACKEND=numpy`` or ``ZEON_BACKEND=numba`` before
-first import to force one; ``backend_name()`` reports the choice.
+There is one kernel of each kind; ``backend_name()`` names it
+(``'numpy'``) for records that report the environment.
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
 __all__ = [
     "backend_name", "mul_terms", "combine_terms", "add_terms",
-    "mul_terms_numpy",
 ]
 
 _EMPTY_IDX = np.empty(0, dtype=np.uint64)
@@ -99,8 +93,8 @@ def add_terms(ia, ca, ib, cb, prune: float):
                          prune)
 
 
-def mul_terms_numpy(ia, ca, ib, cb, prune: float):
-    """Blade product of two canonical term arrays, numpy path.
+def mul_terms(ia, ca, ib, cb, prune: float):
+    """Blade product of two canonical term arrays.
 
     Pairs whose masks intersect annihilate; survivors land on the union
     mask.  Up to ``SMALL_PAIRS`` pairs are summed in a dict; above that
@@ -124,77 +118,6 @@ def mul_terms_numpy(ia, ca, ib, cb, prune: float):
     return combine_terms(masks, vals, prune)
 
 
-def _select_backend():
-    choice = os.environ.get("ZEON_BACKEND", "").strip().lower()
-    if choice not in ("", "numpy", "numba"):
-        warnings.warn(
-            f"ZEON_BACKEND={choice!r} not recognised; falling back to auto",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        choice = ""
-    if choice == "numpy":
-        return "numpy", mul_terms_numpy
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            warnings.warn(
-                "ZEON_BACKEND=numba requested but numba is unavailable; "
-                "using the numpy fallback",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "numpy", mul_terms_numpy
-
-    @njit(cache=True)
-    def _mul_kernel(ia, ca, ib, cb, prune):  # pragma: no cover - compiled
-        na = ia.shape[0]
-        nb = ib.shape[0]
-        buf_i = np.empty(na * nb, dtype=np.uint64)
-        buf_c = np.empty(na * nb, dtype=np.complex128)
-        m = 0
-        for p in range(na):
-            a = ia[p]
-            va = ca[p]
-            for q in range(nb):
-                if a & ib[q] == np.uint64(0):
-                    buf_i[m] = a | ib[q]
-                    buf_c[m] = va * cb[q]
-                    m += 1
-        if m == 0:
-            return buf_i[:0], buf_c[:0]
-        order = np.argsort(buf_i[:m])
-        out_i = np.empty(m, dtype=np.uint64)
-        out_c = np.empty(m, dtype=np.complex128)
-        k = -1
-        for t in range(m):
-            j = order[t]
-            if k >= 0 and out_i[k] == buf_i[j]:
-                out_c[k] += buf_c[j]
-            else:
-                k += 1
-                out_i[k] = buf_i[j]
-                out_c[k] = buf_c[j]
-        w = 0
-        for t in range(k + 1):
-            if abs(out_c[t]) > prune:
-                out_i[w] = out_i[t]
-                out_c[w] = out_c[t]
-                w += 1
-        return out_i[:w].copy(), out_c[:w].copy()
-
-    def mul_terms_numba(ia, ca, ib, cb, prune: float):
-        if ia.size == 0 or ib.size == 0:
-            return _EMPTY_IDX, _EMPTY_COEF
-        return _mul_kernel(ia, ca, ib, cb, prune)
-
-    return "numba", mul_terms_numba
-
-
-_BACKEND_NAME, mul_terms = _select_backend()
-
-
 def backend_name() -> str:
-    """Name of the active multiplication backend: 'numba' or 'numpy'."""
-    return _BACKEND_NAME
+    """Name of the multiplication kernel, always ``'numpy'``."""
+    return "numpy"

@@ -31,7 +31,6 @@ from ._backend import (
     _EMPTY_COEF,
     _EMPTY_IDX,
     add_terms,
-    backend_name,
     combine_terms,
     mul_terms,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "generators",
     "kth_roots",
     "principal_kth_root",
-    "backend_name",
 ]
 
 MAX_GENERATORS = 32
@@ -322,6 +320,8 @@ class Zeon:
 
     def scale(self, c: complex) -> "Zeon":
         c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError("coefficients must be finite")
         if c == 0 or self._idx.size == 0:
             return Zeon.zero(self.n)
         coef = self._coef * c

@@ -314,84 +314,82 @@ def _blades_of_grade(bits: list[int], grade: int) -> list[int]:
     return [sum(c) for c in itertools.combinations(bits, grade)]
 
 
-def _mask_ix(mask: int) -> tuple[int, ...]:
-    return mask_to_indices(mask)
+# at most this many candidate blades enter a least-squares fit
+MAX_UNKNOWNS = 120
+# Gauss-Newton steps per start.  Near a singular root (the common case:
+# roots come in families) the error only halves per step, which takes
+# about 50 steps from order one down to rounding.
+_NEWTON_STEPS = 60
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on its first call.
+def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
+    """Gauss-Newton fit of ``v = sum_j x_j z{cands[j]}`` to ``v*v = w``.
 
-    Importing scipy.optimize costs more than the rest of ``import zeon``
-    together, and only the least-squares fallbacks of
-    :func:`nilpotent_sqrt` use it, so the import waits until one runs.
+    ``v*v`` is holomorphic in ``x``, so its Jacobian is exactly
+    ``2*(multiplication by v)`` on the candidate blades: column ``b``
+    holds ``2 x_a`` at row ``a|b`` for each candidate ``a`` disjoint
+    from ``b``, and ``v*v = J x / 2``.  Each step is one complex
+    ``np.linalg.lstsq`` (the minimum-norm step when the system is
+    underdetermined), with no split into real and imaginary parts.  A
+    constant start and three seeded random ones run in turn; the first
+    ``v`` whose exact product matches ``w`` to ``eq_eps * max(1, |w|)``
+    is returned, None when no start gets there or there are no
+    candidates or more than ``MAX_UNKNOWNS``.
     """
-    from scipy.optimize import least_squares as solve
+    k = len(cands)
+    if not k or k > MAX_UNKNOWNS:
+        return None
+    pairs = [(a, b) for a in range(k) for b in range(k)
+             if not cands[a] & cands[b]]
+    if not pairs:
+        return None
+    rows = sorted(set(w.support_masks())
+                  | {cands[a] | cands[b] for a, b in pairs})
+    row_of = {mk: i for i, mk in enumerate(rows)}
+    src = np.array([a for a, _ in pairs])
+    col = np.array([b for _, b in pairs])
+    row = np.array([row_of[cands[a] | cands[b]] for a, b in pairs])
+    target = np.array([w.coeff(mask_to_indices(mk)) for mk in rows],
+                      dtype=np.complex128)
+    scale = max(1.0, w.max_abs())
+    amp = np.sqrt(scale / 2.0)
+    rng = np.random.default_rng(20240801)
+    starts = [np.full(k, amp * (1 + 1j))]
+    starts += [amp * (rng.normal(size=k) + 1j * rng.normal(size=k))
+               for _ in range(3)]
+    blades = [mask_to_indices(mk) for mk in cands]
+    jac = np.zeros((len(rows), k), dtype=np.complex128)
+    for x in starts:
+        for _ in range(_NEWTON_STEPS):
+            jac[row, col] = 2.0 * x[src]
+            res = 0.5 * (jac @ x) - target
+            if not np.all(np.isfinite(res)):
+                break
+            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+            x = x + step
+            if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):
+                break
+        if not np.all(np.isfinite(x)):
+            continue
+        v = Zeon(w.n, zip(blades, x))
+        if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
+            return v
+    return None
 
-    return solve(*args, **kwargs)
 
-
-def _lsq(residual, x0: np.ndarray, n_res: int):
-    # lm rejects underdetermined systems; fall back to trf there
-    method = "lm" if n_res >= x0.size else "trf"
-    return least_squares(residual, x0, method=method,
-                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-
-
-def _search_square_root(w: Zeon, grade_lo: int, tol: Tolerance,
-                        max_unknowns: int = 120) -> Zeon | None:
+def _search_square_root(w: Zeon, grade_lo: int,
+                        tol: Tolerance) -> Zeon | None:
     """Least-squares search for v with v*v = w, min grade >= grade_lo.
 
     Candidate blades are restricted to the generators appearing in ``w``
-    and to grades that can still contribute to a product of grade <= n.
-    Returns None when the search space is too large or no candidate
-    verifies.
+    and to grades that can still contribute to a product of grade <= n;
+    all layers are fitted at once by :func:`least_squares`.
     """
-    n = w.n
-    bits = 0
-    for m in w.support_masks():
-        bits |= m
-    gen_bits = [1 << i for i in range(n) if bits >> i & 1]
-    grade_hi = max(grade_lo, n - grade_lo)
-    cands: list[int] = []
-    for g in range(grade_lo, min(grade_hi, len(gen_bits)) + 1):
-        cands.extend(_blades_of_grade(gen_bits, g))
-    if not cands or len(cands) > max_unknowns:
-        return None
-    scale = max(1.0, w.max_abs())
-    row_masks = sorted(set(
-        w.support_masks()
-        + [a | b for a, b in itertools.combinations(cands, 2) if not a & b]
-    ))
-    target = np.asarray(
-        [w.coeff(_mask_ix(m)) for m in row_masks], dtype=np.complex128
-    )
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        vals = x[: len(cands)] + 1j * x[len(cands):]
-        v = Zeon(w.n, [(_mask_ix(m), c) for m, c in zip(cands, vals)])
-        sq = v.mul(v)
-        got = np.asarray(
-            [sq.coeff(_mask_ix(m)) for m in row_masks], dtype=np.complex128
-        )
-        diff = got - target
-        return np.concatenate([diff.real, diff.imag])
-
-    amp = float(np.sqrt(scale / 2.0))
-    rng = np.random.default_rng(20240801)
-    starts = [np.full(2 * len(cands), amp)]
-    for _ in range(3):
-        starts.append(rng.normal(scale=amp, size=2 * len(cands)))
-    best = None
-    for x0 in starts:
-        sol = _lsq(residual, x0, 2 * len(row_masks))
-        vals = sol.x[: len(cands)] + 1j * sol.x[len(cands):]
-        v = Zeon(w.n, [(_mask_ix(m), c) for m, c in zip(cands, vals)])
-        err = (v.mul(v) - w).max_abs()
-        if err <= tol.eq_eps * scale:
-            return v
-        if best is None or err < best[0]:
-            best = (err, v)
-    return None
+    gen_bits = _support_generators(w)
+    grade_hi = min(max(grade_lo, w.n - grade_lo), len(gen_bits))
+    cands = [b for g in range(grade_lo, grade_hi + 1)
+             for b in _blades_of_grade(gen_bits, g)]
+    return least_squares(w, cands, tol)
 
 
 def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
@@ -402,15 +400,15 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
     so an input with a grade-1 term fails immediately and that failure
     is certified.  Everything else runs a layered search: the lowest
     unknown layer ``v_g`` with ``2g = min_grade(w)`` comes in closed form
-    for ``g = 1`` and from damped least squares above that (for odd
+    for ``g = 1`` and from a Gauss-Newton fit above that (for odd
     minimum grade 2g+1 the bottom is a trial null-square blade instead),
     and each higher layer then solves a linear minimum-norm system,
     since ``2 v_g x`` is linear in ``x``.  For ``g = 1`` the grade-2 part
     can leave one product ``a_p a_q`` of the bottom free; the upper
     grades of ``w`` then give the split ``a_p / a_q`` to leading order
-    (see :func:`_grade_one_bottoms`).  When the layers do not verify, a
-    least-squares fit over all layers at once is the last resort; only
-    that fit and a bottom layer of grade >= 2 import scipy.
+    (see :func:`_grade_one_bottoms`).  When the layers do not verify, the
+    same fit over all layers at once is the last resort
+    (:func:`least_squares`).
 
     Raises :class:`SqrtNotFound` when nothing verifies; ``certified`` is
     True only for the provable grade obstruction.
@@ -489,12 +487,11 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
             for a in v_g.support_masks():
                 if a & k:
                     continue
-                A[row_pos[a | k], j] += 2.0 * v_g.coeff(_mask_ix(a))
-        b = np.asarray(
-            [residual.coeff(_mask_ix(mk)) for mk in rows], dtype=np.complex128
-        )
+                A[row_pos[a | k], j] += 2.0 * v_g.coeff(mask_to_indices(a))
+        b = np.asarray([residual.coeff(mask_to_indices(mk)) for mk in rows],
+                       dtype=np.complex128)
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        comps.append(Zeon(n, [(_mask_ix(k), c) for k, c in zip(cands, x)]))
+        comps.append(Zeon(n, zip(map(mask_to_indices, cands), x)))
     out = comps[0]
     for c in comps[1:]:
         out = out.add(c)
@@ -545,7 +542,7 @@ def _odd_layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
         mask = 0
         for b in mask_tuple:
             mask |= b
-        bottom = Zeon(w.n, [(_mask_ix(mask), 1.0)])
+        bottom = Zeon(w.n, [(mask_to_indices(mask), 1.0)])
         v = _complete_layers(w, bottom, g, gen_bits)
         if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
             return v
@@ -557,43 +554,10 @@ def _fit_bottom_layer(target: Zeon, gen_bits: list[int], g: int,
     """Solve (v_g)**2 = target for homogeneous v_g of grade g >= 2.
 
     Grade 1 has a closed form (:func:`_grade_one_bottoms`).  Higher
-    grades are quadratic in the unknown coefficients, so they run a
-    small multi-start Levenberg-Marquardt fit.  A solution is kept only
-    when the squared result reproduces the target to eq_eps.
+    grades are quadratic in the unknown coefficients and are fitted by
+    :func:`least_squares` over the grade-g blades of the generators.
     """
-    n = target.n
-    cands = _blades_of_grade(gen_bits, g)
-    if not cands or len(cands) > 120:
-        return None
-    rows = sorted(set(
-        target.support_masks()
-        + [a | b for a, b in itertools.combinations(cands, 2) if not a & b]
-    ))
-    tvec = np.asarray([target.coeff(_mask_ix(m)) for m in rows],
-                      dtype=np.complex128)
-    scale = max(1.0, target.max_abs())
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        vals = x[: len(cands)] + 1j * x[len(cands):]
-        v = Zeon(n, [(_mask_ix(m), c) for m, c in zip(cands, vals)])
-        sq = v.mul(v)
-        got = np.asarray([sq.coeff(_mask_ix(m)) for m in rows],
-                         dtype=np.complex128)
-        diff = got - tvec
-        return np.concatenate([diff.real, diff.imag])
-
-    amp = float(np.sqrt(scale / 2.0))
-    rng = np.random.default_rng(20240802)
-    starts = [np.full(2 * len(cands), amp)]
-    for _ in range(3):
-        starts.append(rng.normal(scale=amp, size=2 * len(cands)))
-    for x0 in starts:
-        sol = _lsq(residual, x0, 2 * len(rows))
-        vals = sol.x[: len(cands)] + 1j * sol.x[len(cands):]
-        v = Zeon(n, [(_mask_ix(m), c) for m, c in zip(cands, vals)])
-        if (v.mul(v) - target).max_abs() <= tol.eq_eps * scale:
-            return v
-    return None
+    return least_squares(target, _blades_of_grade(gen_bits, g), tol)
 
 
 def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
@@ -625,7 +589,8 @@ def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
         coeffs = {p: a_p, q: t_pq / (2.0 * a_p)}
         for r in others:
             coeffs[r] = c.get(p | r, 0j) / (2.0 * a_p)
-        return Zeon(w.n, [(_mask_ix(b), a) for b, a in coeffs.items()])
+        return Zeon(w.n, [(mask_to_indices(b), a)
+                          for b, a in coeffs.items()])
 
     def linked(r: int) -> complex:
         return c.get(p | r, 0j) * c.get(q | r, 0j)

@@ -65,14 +65,6 @@ def from_dense(n: int, v: np.ndarray) -> Zeon:
     return Zeon(n, terms)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_backend():
-    # trigger any JIT compilation before tests that measure runtime
-    u = Zeon(3, [((1,), 1.0), ((2, 3), 0.5j), ((), 2.0)])
-    (u * u).max_abs()
-    yield
-
-
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return

@@ -83,6 +83,18 @@ def test_scalar_rejects_what_the_constructor_rejects():
         Zeon.one(MAX_GENERATORS + 1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 complex("nan+1j")])
+def test_scale_rejects_what_the_constructor_rejects(bad):
+    # a NaN factor used to prune every term away and return zero, and an
+    # infinite one stored inf+nanj coefficients that repr cannot format
+    u = Zeon(2, {(): 2.0, (1,): 1.0, (1, 2): -0.5j})
+    for product in (lambda: u.scale(bad), lambda: u * bad,
+                    lambda: bad * u, lambda: Zeon.zero(2) * bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            product()
+
+
 def test_scalar_prunes_at_prune_eps():
     eps = default_tolerance().prune_eps
     for c in (1e-16, eps, -eps, 1j * eps):

@@ -1,10 +1,4 @@
-"""Backend selection, and the term kernels against the dense oracle."""
-
-import importlib.util
-import json
-import os
-import subprocess
-import sys
+"""The term kernels against the dense oracle."""
 
 import numpy as np
 import pytest
@@ -13,67 +7,12 @@ from conftest import random_zeon, to_dense
 from oracle import dense_from_terms, dense_mul
 from zeon import Zeon, backend_name
 from zeon import _backend
-from zeon._backend import add_terms, combine_terms, mul_terms, mul_terms_numpy
-
-PROBE = """
-import json
-import zeon
-from zeon import Zeon, ZeonPoly, split
-
-u = Zeon(3, [((), 2.0), ((1,), 1.0), ((2, 3), -0.5j)])
-v = u * u
-inv = u.inverse()
-report = split(ZeonPoly.from_scalars(3, [2, -3, 1]))
-print(json.dumps({
-    "backend": zeon.backend_name(),
-    "square": [[list(ix), c.real, c.imag] for ix, c in v.terms()],
-    "unit": (u * inv - Zeon.one(3)).max_abs(),
-    "spectrum": sorted(r.value.real for r in report.scalar_spectrum),
-}))
-"""
-
-
-def run_probe(backend=None):
-    env = dict(os.environ)
-    env.pop("ZEON_BACKEND", None)
-    if backend is not None:
-        env["ZEON_BACKEND"] = backend
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout), proc.stderr
+from zeon._backend import add_terms, combine_terms, mul_terms
 
 
 class TestSelection:
     def test_active_backend_is_reported(self):
-        assert backend_name() in ("numba", "numpy")
-
-    def test_numpy_fallback(self):
-        doc, _ = run_probe("numpy")
-        assert doc["backend"] == "numpy"
-
-    def test_numba_request(self):
-        pytest.importorskip("numba")
-        doc, _ = run_probe("numba")
-        assert doc["backend"] == "numba"
-
-    @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                        reason="numba is installed; the fallback is not taken")
-    def test_numba_request_without_numba_falls_back(self):
-        doc, stderr = run_probe("numba")
-        assert doc["backend"] == "numpy"
-        assert "numba is unavailable" in stderr
-
-    def test_unknown_choice_warns_and_runs(self):
-        doc, stderr = run_probe("cuda")
-        assert doc["backend"] in ("numba", "numpy")
-        assert "not recognised" in stderr
-
-    def test_backends_compute_identical_results(self):
-        reference, _ = run_probe("numba")
-        fallback, _ = run_probe("numpy")
-        assert fallback["square"] == reference["square"]
-        assert fallback["spectrum"] == reference["spectrum"]
-        assert max(fallback["unit"], reference["unit"]) < 1e-12
+        assert backend_name() == "numpy"
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -138,7 +77,7 @@ class TestSmallOperandPaths:
             ib, cb = canonical(rng, N, sizes[1])
             want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
             for prune in (0.0, 0.5):
-                assert_matches(mul_terms_numpy(ia, ca, ib, cb, prune),
+                assert_matches(mul_terms(ia, ca, ib, cb, prune),
                                want, prune)
 
     @pytest.mark.parametrize("sizes", MUL_SIZES)
@@ -147,7 +86,7 @@ class TestSmallOperandPaths:
         ia, ca = canonical(rng, N, sizes[0])
         ib, cb = canonical(rng, N, sizes[1])
         want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
-        assert_matches(mul_terms_numpy(ia, ca, ib, cb, 1e-14), want, 1e-14)
+        assert_matches(mul_terms(ia, ca, ib, cb, 1e-14), want, 1e-14)
 
     @pytest.mark.parametrize("sizes", ADD_SIZES)
     def test_sum_matches_oracle(self, rng, path, sizes):
@@ -213,9 +152,9 @@ class TestSmallOperandPaths:
         assert add_terms(one, at, empty_m, empty_c, prune)[0].size == 0
         assert add_terms(empty_m, empty_c, one, at, prune)[0].size == 0
         # 0.5 * (2 * prune) is exactly prune
-        m, c = mul_terms_numpy(one, np.array([0.5 + 0j]), two, above, prune)
+        m, c = mul_terms(one, np.array([0.5 + 0j]), two, above, prune)
         assert m.size == 0
-        m, c = mul_terms_numpy(one, np.array([1 + 0j]), two, above, prune)
+        m, c = mul_terms(one, np.array([1 + 0j]), two, above, prune)
         assert m.tolist() == [3]
         m, c = combine_terms(np.array([4, 1], dtype=np.uint64),
                              np.array([prune, -2 * prune]), prune)
@@ -225,8 +164,8 @@ class TestSmallOperandPaths:
         empty_m = np.empty(0, dtype=np.uint64)
         empty_c = np.empty(0, dtype=np.complex128)
         ia, ca = np.array([0, 3], dtype=np.uint64), np.array([1 + 0j, 2j])
-        for got in (mul_terms_numpy(empty_m, empty_c, ia, ca, 0.0),
-                    mul_terms_numpy(ia, ca, empty_m, empty_c, 0.0),
+        for got in (mul_terms(empty_m, empty_c, ia, ca, 0.0),
+                    mul_terms(ia, ca, empty_m, empty_c, 0.0),
                     add_terms(empty_m, empty_c, empty_m, empty_c, 0.0),
                     combine_terms(empty_m, empty_c, 0.0)):
             assert got[0].size == 0 and got[1].size == 0
@@ -243,13 +182,10 @@ class TestKernelAgreement:
                 ia, ca = a._idx, a._coef
                 ib, cb = b._idx, b._coef
                 want = dense_mul(to_dense(a), to_dense(b))
-                for fn in (mul_terms, mul_terms_numpy):
-                    got = fn(ia, ca, ib, cb, 0.0)
-                    assert_matches(got, want, 0.0)
+                assert_matches(mul_terms(ia, ca, ib, cb, 0.0), want, 0.0)
 
     def test_empty_operand(self):
         z = Zeon.zero(2)
         u = Zeon.one(2)
-        for fn in (mul_terms, mul_terms_numpy):
-            mi, mc = fn(z._idx, z._coef, u._idx, u._coef, 0.0)
-            assert mi.size == 0 and mc.size == 0
+        mi, mc = mul_terms(z._idx, z._coef, u._idx, u._coef, 0.0)
+        assert mi.size == 0 and mc.size == 0

@@ -416,6 +416,21 @@ class TestNilpotentSqrt:
         got = dense_mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
+    @pytest.mark.parametrize("v0", [
+        Zeon(5, {(1, 2): 1, (3, 4): 0.5}),
+        Zeon(6, {(1, 2): 1 + 2j, (3, 4): -1, (1, 5, 6): 0.5}),
+        Zeon(7, {(1, 2): 1, (3, 4): 1j, (5, 6): 2, (1, 3, 7): -0.5}),
+        Zeon(8, {(1, 2): 0.5, (3, 4): 1, (5, 6): -1j, (7, 8): 1}),
+        Zeon(6, {(1, 2, 3): 1, (4, 5, 6): 0.5}),
+    ])
+    def test_bottom_layer_of_grade_two_or_more(self, v0):
+        # minimum grade 4 or 6: no closed form for the bottom layer, so
+        # the root comes from the least-squares fit
+        w = v0.mul(v0)
+        v = nilpotent_sqrt(w)
+        got = dense_mul(to_dense(v), to_dense(v))
+        assert np.abs(got - to_dense(w)).max() < 1e-12
+
 
 # -- quadratics ----------------------------------------------------------
 
