@@ -13,26 +13,31 @@ Subsets are encoded as integer bitmasks (generator ``i`` is bit
 and caps ``n`` at 32.
 
 Elements are immutable.  Each :class:`Zeon` stores its nonzero terms as
-a pair of parallel arrays (ascending uint64 masks, complex128
-coefficients); coefficients whose magnitude falls to the pruning
-threshold or below are dropped on construction, so a stored term is
-always a nonzero term.
+ascending masks and parallel coefficients: Python tuples when it has
+few terms, read-only numpy arrays when it has many (``_backend.pack``).
+Coefficients at or below the pruning threshold in magnitude are
+dropped, so a stored term is always a nonzero term, and non-finite
+ones, overflows included, are refused.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-import numpy as np
-
+from . import _backend
 from ._backend import (
-    _EMPTY_COEF,
-    _EMPTY_IDX,
     add_terms,
     combine_terms,
+    dict_mul,
+    dict_sum,
+    keep_mask,
+    keep_terms,
     mul_terms,
+    pack,
+    to_arrays,
 )
 from .errors import DimensionMismatch, NotInvertible
 
@@ -142,10 +147,6 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-# the empty blade's mask, shared by every scalar element
-_SCALAR_IDX = np.zeros(1, dtype=np.uint64)
-_SCALAR_IDX.setflags(write=False)
-
 ZeonLike = Union["Zeon", complex, float, int]
 
 
@@ -173,18 +174,13 @@ class Zeon:
                 )
             masks.append(mask)
             coefs.append(complex(c))
-        raw = np.asarray(coefs, dtype=np.complex128)
-        # check before combining: pruning would silently swallow NaN
-        if raw.size and not np.all(np.isfinite(raw.view(np.float64))):
-            raise ValueError("coefficients must be finite")
-        idx, coef = combine_terms(
-            np.asarray(masks, dtype=np.uint64), raw, _current_tol.prune_eps,
-        )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_idx", idx)
-        object.__setattr__(self, "_coef", coef)
-        idx.setflags(write=False)
-        coef.setflags(write=False)
+        # both kernels refuse a non-finite coefficient before pruning
+        prune = _current_tol.prune_eps
+        if len(masks) <= _backend.SMALL_TERMS:
+            masks, coefs = dict_sum(masks, coefs, prune)
+        else:
+            masks, coefs = combine_terms(*to_arrays(masks, coefs), prune)
+        _fill(self, n, masks, coefs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Zeon is immutable")
@@ -192,31 +188,15 @@ class Zeon:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def _raw(cls, n: int, idx: np.ndarray, coef: np.ndarray) -> "Zeon":
-        # Trusted path: arrays are already canonical (sorted, pruned).
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_idx", idx)
-        object.__setattr__(self, "_coef", coef)
-        idx.setflags(write=False)
-        coef.setflags(write=False)
-        return self
-
-    @classmethod
     def zero(cls, n: int) -> "Zeon":
         """The zero element."""
-        return cls._raw(_check_n(n), _EMPTY_IDX, _EMPTY_COEF)
+        return _raw(_check_n(n), (), ())
 
     @classmethod
     def scalar(cls, n: int, c: complex) -> "Zeon":
         """The scalar ``c`` as an element of the ``n``-generator algebra."""
-        n = _check_n(n)
-        c = complex(c)
-        if not cmath.isfinite(c):
-            raise ValueError("coefficients must be finite")
-        if abs(c) <= _current_tol.prune_eps:
-            return cls._raw(n, _EMPTY_IDX, _EMPTY_COEF)
-        return cls._raw(n, _SCALAR_IDX, np.array([c], dtype=np.complex128))
+        return _raw(_check_n(n),
+                    *keep_terms([(0, complex(c))], _current_tol.prune_eps))
 
     @classmethod
     def one(cls, n: int) -> "Zeon":
@@ -230,53 +210,51 @@ class Zeon:
 
     # -- basic queries ---------------------------------------------------
 
+    def _tuples(self):
+        if type(self._idx) is tuple:
+            return self._idx, self._coef
+        return tuple(self._idx.tolist()), tuple(self._coef.tolist())
+
     def terms(self) -> list[tuple[tuple[int, ...], complex]]:
         """Stored terms as ``(indices, coefficient)`` pairs, mask-ascending."""
-        return [
-            (mask_to_indices(int(m)), complex(c))
-            for m, c in zip(self._idx, self._coef)
-        ]
+        return [(mask_to_indices(m), c) for m, c in zip(*self._tuples())]
 
     def coeff(self, indices: Iterable[int]) -> complex:
         """Coefficient at the blade ``z{indices}`` (0 when absent)."""
         mask = indices_to_mask(indices)
-        pos = np.searchsorted(self._idx, np.uint64(mask))
-        if pos < self._idx.size and self._idx[pos] == mask:
+        pos = bisect_left(self._idx, mask)
+        if pos < len(self._idx) and self._idx[pos] == mask:
             return complex(self._coef[pos])
         return 0j
 
     def is_zero(self) -> bool:
-        return self._idx.size == 0
+        return len(self._idx) == 0
 
     def is_scalar(self) -> bool:
-        return self._idx.size == 0 or (self._idx.size == 1 and self._idx[0] == 0)
+        return len(self._idx) == 0 or (len(self._idx) == 1 and self._idx[0] == 0)
 
     def scalar_part(self) -> complex:
         """Coefficient at the empty blade."""
-        if self._idx.size and self._idx[0] == 0:
+        if len(self._idx) and self._idx[0] == 0:
             return complex(self._coef[0])
         return 0j
 
     def dual_part(self) -> "Zeon":
         """The element minus its scalar part; always nilpotent."""
-        if self._idx.size and self._idx[0] == 0:
-            return Zeon._raw(self.n, self._idx[1:], self._coef[1:])
+        if len(self._idx) and self._idx[0] == 0:
+            return _raw(self.n, self._idx[1:], self._coef[1:])
         return self
 
     def grades(self) -> list[int]:
         """Sorted list of grades carrying at least one term."""
-        if self._idx.size == 0:
-            return []
-        return sorted(set(np.bitwise_count(self._idx).tolist()))
+        return sorted({m.bit_count() for m in self._tuples()[0]})
 
     def grade_part(self, k: int) -> "Zeon":
         """Sum of the stored terms of grade ``k``."""
         if k < 0:
             raise ValueError("grade must be nonnegative")
-        if self._idx.size == 0 or k > self.n:
-            return Zeon.zero(self.n)
-        keep = np.bitwise_count(self._idx) == k
-        return Zeon._raw(self.n, self._idx[keep], self._coef[keep])
+        kept = [(m, c) for m, c in zip(*self._tuples()) if m.bit_count() == k]
+        return _raw(self.n, [m for m, _ in kept], [c for _, c in kept])
 
     def min_grade(self) -> int:
         """Lowest grade present; ``n + 1`` for the zero element.
@@ -284,25 +262,20 @@ class Zeon:
         The sentinel keeps the value integer-comparable: no nonzero
         element has a grade above ``n``.
         """
-        if self._idx.size == 0:
-            return self.n + 1
-        return int(np.bitwise_count(self._idx).min())
+        return min((m.bit_count() for m in self._tuples()[0]),
+                   default=self.n + 1)
 
     def min_grade_part(self) -> "Zeon":
         """The homogeneous part at the lowest present grade (0 if zero)."""
-        if self._idx.size == 0:
-            return self
         return self.grade_part(self.min_grade())
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (0.0 for the zero element)."""
-        if self._coef.size == 0:
-            return 0.0
-        return float(np.abs(self._coef).max())
+        return max(map(abs, self._tuples()[1]), default=0.0)
 
     def support_masks(self) -> list[int]:
         """Stored blade bitmasks, ascending."""
-        return [int(m) for m in self._idx]
+        return list(self._tuples()[0])
 
     # -- ring operations -------------------------------------------------
 
@@ -314,29 +287,37 @@ class Zeon:
 
     def add(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        idx, coef = add_terms(self._idx, self._coef, other._idx, other._coef,
-                              _current_tol.prune_eps)
-        return Zeon._raw(self.n, idx, coef)
+        prune = _current_tol.prune_eps
+        if type(self._idx) is tuple and type(other._idx) is tuple:
+            return _raw(self.n, *dict_sum(self._idx + other._idx,
+                                          self._coef + other._coef, prune))
+        return _raw(self.n, *add_terms(*to_arrays(self._idx, self._coef),
+                                       *to_arrays(other._idx, other._coef),
+                                       prune))
 
     def scale(self, c: complex) -> "Zeon":
         c = complex(c)
         if not cmath.isfinite(c):
             raise ValueError("coefficients must be finite")
-        if c == 0 or self._idx.size == 0:
-            return Zeon.zero(self.n)
+        prune = _current_tol.prune_eps
+        if type(self._coef) is tuple:
+            return _raw(self.n, *keep_terms(
+                zip(self._idx, [x * c for x in self._coef]), prune))
         coef = self._coef * c
-        keep = np.abs(coef) > _current_tol.prune_eps
-        if keep.all():
-            return Zeon._raw(self.n, self._idx, coef)
-        return Zeon._raw(self.n, self._idx[keep], coef[keep])
+        keep = keep_mask(coef, prune)
+        return _raw(self.n, self._idx[keep], coef[keep])
 
     def mul(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        idx, coef = mul_terms(
-            self._idx, self._coef, other._idx, other._coef,
-            _current_tol.prune_eps,
-        )
-        return Zeon._raw(self.n, idx, coef)
+        prune = _current_tol.prune_eps
+        a, b = self._idx, other._idx
+        if (type(a) is tuple and type(b) is tuple
+                and len(a) * len(b) <= _backend.SMALL_PAIRS):
+            return _raw(self.n, *dict_mul(a, self._coef, b, other._coef,
+                                          prune))
+        return _raw(self.n, *mul_terms(*to_arrays(self._idx, self._coef),
+                                       *to_arrays(other._idx, other._coef),
+                                       prune))
 
     def power(self, k: int) -> "Zeon":
         """``k``-th power, ``k >= 0``, by binary exponentiation."""
@@ -442,14 +423,10 @@ class Zeon:
             return self.is_scalar() and self.scalar_part() == complex(other)
         if not isinstance(other, Zeon):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self._idx, other._idx)
-            and np.array_equal(self._coef, other._coef)
-        )
+        return self.n == other.n and self._tuples() == other._tuples()
 
     def __hash__(self) -> int:
-        return hash((self.n, self._idx.tobytes(), self._coef.tobytes()))
+        return hash((self.n, self._tuples()))
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], complex]]:
         return iter(self.terms())
@@ -457,6 +434,24 @@ class Zeon:
     def __repr__(self) -> str:
         from .textio import format_zeon
         return f"<Zeon n={self.n}: {format_zeon(self)}>"
+
+
+# the slots' own setters, which skip Zeon.__setattr__
+_set_n, _set_idx, _set_coef = (Zeon.__dict__[k].__set__ for k in Zeon.__slots__)
+
+
+def _fill(self: Zeon, n: int, masks, coefs) -> Zeon:
+    # the one writer of an element's slots; pack picks the storage form
+    idx, coef = pack(masks, coefs)
+    _set_n(self, n)
+    _set_idx(self, idx)
+    _set_coef(self, coef)
+    return self
+
+
+def _raw(n: int, masks, coefs) -> Zeon:
+    """An element of terms that are already canonical (sorted, pruned)."""
+    return _fill(object.__new__(Zeon), n, masks, coefs)
 
 
 def _coerce(value: ZeonLike, n: int) -> Zeon:

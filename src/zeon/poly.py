@@ -577,7 +577,7 @@ def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
     first candidate misses the grade-2 part, since no split changes
     whether it matches there.  The caller verifies the completed root.
     """
-    c = dict(zip(w.support_masks(), w._coef.tolist()))
+    c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
     target = w.grade_part(2)
     pivot = max(target.support_masks(), key=lambda mk: abs(c[mk]))
     p, q = (b for b in gen_bits if b & pivot)

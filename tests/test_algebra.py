@@ -123,10 +123,8 @@ def test_unit_and_zero_match_general_constructor(n):
         assert hash(fast) == hash(general)
         assert fast.n == general.n == n
         assert fast.terms() == general.terms()
-        assert fast._idx.dtype == np.uint64
-        assert fast._coef.dtype == np.complex128
-        assert not fast._idx.flags.writeable
-        assert not fast._coef.flags.writeable
+        assert fast.support_masks() == general.support_masks()
+        assert fast.scalar_part() == general.scalar_part()
 
 
 def test_elements_are_immutable():

@@ -39,6 +39,12 @@ def assert_matches(got, want: np.ndarray, prune: float) -> None:
     assert np.abs(coefs - want[expected]).max(initial=0.0) < 1e-14 * scale
 
 
+def arrays_of(u: Zeon):
+    """Kernel arrays of an element, read through its public API."""
+    return (np.array(u.support_masks(), dtype=np.uint64),
+            np.array([c for _, c in u.terms()], dtype=np.complex128))
+
+
 def canonical(rng, n: int, size: int):
     """``size`` distinct ascending masks over n generators, random coefficients."""
     masks = np.sort(rng.choice(1 << n, size=size, replace=False))
@@ -179,13 +185,110 @@ class TestKernelAgreement:
             for _ in range(50):
                 a = random_zeon(rng, n)
                 b = random_zeon(rng, n)
-                ia, ca = a._idx, a._coef
-                ib, cb = b._idx, b._coef
+                ia, ca = arrays_of(a)
+                ib, cb = arrays_of(b)
                 want = dense_mul(to_dense(a), to_dense(b))
                 assert_matches(mul_terms(ia, ca, ib, cb, 0.0), want, 0.0)
 
     def test_empty_operand(self):
         z = Zeon.zero(2)
         u = Zeon.one(2)
-        mi, mc = mul_terms(z._idx, z._coef, u._idx, u._coef, 0.0)
+        mi, mc = mul_terms(*arrays_of(z), *arrays_of(u), 0.0)
         assert mi.size == 0 and mc.size == 0
+
+
+# numpy warns about the overflow before the kernel refuses the result
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestFiniteResults:
+    """Finite operands whose result overflows are refused, never stored."""
+
+    def test_overflow_is_refused(self, path):
+        u = Zeon(2, {(1,): 1})
+        huge = Zeon(2, {(): 1e200, (1,): 1e200})
+        big = Zeon(2, {(): 1e308, (1,): 1.0})
+        # the z1 coefficient of this product is -inf + inf = nan
+        a = Zeon(1, {(): 1e300, (1,): 1e300})
+        b = Zeon(1, {(): 1e300, (1,): -1e300})
+        for result in (lambda: u * 1e308 * 10, lambda: huge ** 2,
+                       lambda: huge * huge, lambda: big + big,
+                       lambda: big - (-big), lambda: a * b,
+                       lambda: Zeon(2, [((), 1e308), ((), 1e308)])):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                result()
+
+    def test_non_finite_input_is_refused_on_either_kernel(self, path):
+        for count in (1, 16, 17, 40):
+            terms = [((1,), 1.0)] * (count - 1) + [((2,), float("nan"))]
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                Zeon(2, terms)
+
+    def test_array_kernels_refuse_overflow(self, path):
+        one = np.array([1], dtype=np.uint64)
+        two = np.array([2], dtype=np.uint64)
+        big = np.array([1e308 + 0j])
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            mul_terms(one, big, two, big, 0.0)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            add_terms(one, big, one, big, 0.0)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            combine_terms(np.array([1, 1], dtype=np.uint64),
+                          np.array([1e308, 1e308], dtype=np.complex128), 0.0)
+
+
+def dyadic_zeon(rng, n: int, size: int) -> Zeon:
+    """``size`` distinct blades with small dyadic coefficients, so every
+    sum and product below is exact whatever the summation order."""
+    masks = rng.choice(1 << n, size=size, replace=False).tolist()
+    coefs = rng.integers(-8, 9, size=(size, 2)) / 4
+    return Zeon(n, [(indices_of(m), complex(re or 0.25, im))
+                    for m, (re, im) in zip(masks, coefs.tolist())])
+
+
+class TestStorageForms:
+    """An element is the same whether it is held as tuples or arrays."""
+
+    @staticmethod
+    def assert_same(a: Zeon, b: Zeon) -> None:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert a.terms() == b.terms()
+        assert a.support_masks() == b.support_masks()
+
+    def test_wide_product_cancelling_to_one(self, rng):
+        n = 5
+        u = 1 + dyadic_zeon(rng, n, 24).dual_part()
+        v = u.inverse()
+        assert len(u.terms()) > _backend.SMALL_TERMS
+        one = u * v
+        self.assert_same(one, Zeon.one(n))
+        assert one == 1 and one.is_scalar()
+        assert np.array_equal(dense_mul(to_dense(u), to_dense(v)),
+                              to_dense(Zeon.one(n)))
+
+    @pytest.mark.parametrize("size", [15, 16, 17])
+    def test_either_form_at_the_boundary(self, rng, monkeypatch, size):
+        n = 6
+        a = dyadic_zeon(rng, n, size)
+        b = dyadic_zeon(rng, n, 3)
+        # a wide product whose grade >= 4 terms annihilate down to few
+        c = dyadic_zeon(rng, n, 20).grade_part(3)
+
+        def results(a, b, c):
+            return [a, a * b, b * a, a + b, a - b.scale(0.5), a.dual_part(),
+                    a.grade_part(2), a.grade_part(3) * c, c * c,
+                    Zeon.one(n), a * a.dual_part().scale(0)]
+
+        want = results(a, b, c)
+        for limit in (0, 10**9):
+            monkeypatch.setattr(_backend, "SMALL_PAIRS", limit)
+            monkeypatch.setattr(_backend, "SMALL_TERMS", limit)
+            got = results(*(Zeon(n, x.terms()) for x in (a, b, c)))
+            monkeypatch.undo()
+            for x, y in zip(want, got):
+                self.assert_same(x, y)
+        da, db, dc = to_dense(a), to_dense(b), to_dense(c)
+        assert np.array_equal(to_dense(want[1]), dense_mul(da, db))
+        assert np.array_equal(to_dense(want[3]), da + db)
+        assert np.array_equal(to_dense(want[8]), dense_mul(dc, dc))
+        assert np.array_equal(to_dense(a), dense_from_terms(n, a.terms()))
