@@ -79,8 +79,8 @@ def _build_parser() -> _Parser:
                         help="run one command per line from FILE")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, help_: str, *, slots: int, fn: bool = False,
-            seed: bool = False, k: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, *, fn: bool = False, seed: bool = False,
+            k: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--n", type=int, default=None,
                        help="generator count of the ambient algebra")
@@ -102,21 +102,18 @@ def _build_parser() -> _Parser:
             p.add_argument("--k", type=int, default=2, help="root order")
         p.add_argument("inputs", nargs="*", metavar="INPUT",
                        help="input expressions (when --in is not used)")
-        p.set_defaults(slots=slots)
         return p
 
-    add("eval", "evaluate a polynomial at an element", slots=2)
-    add("inv", "multiplicative inverse of an element", slots=1)
-    add("root", "all k-th roots of an invertible element", slots=1, k=True)
-    add("divide", "polynomial division with remainder", slots=2)
-    add("quad", "solve a quadratic with invertible leading coefficient",
-        slots=3)
-    add("solve", "zero set of a polynomial", slots=1, seed=True)
-    add("classify", "zero set of a scalar-coefficient polynomial", slots=1)
-    add("extend", "apply the extension of an analytic function", slots=1,
-        fn=True)
+    add("eval", "evaluate a polynomial at an element")
+    add("inv", "multiplicative inverse of an element")
+    add("root", "all k-th roots of an invertible element", k=True)
+    add("divide", "polynomial division with remainder")
+    add("quad", "solve a quadratic with invertible leading coefficient")
+    add("solve", "zero set of a polynomial", seed=True)
+    add("classify", "zero set of a scalar-coefficient polynomial")
+    add("extend", "apply the extension of an analytic function", fn=True)
     add("preimage", "preimage of an element under an analytic extension",
-        slots=1, fn=True, seed=True)
+        fn=True, seed=True)
     return parser
 
 

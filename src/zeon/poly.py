@@ -8,8 +8,10 @@ leading coefficient must be invertible; when it is, quotient and
 remainder are unique.
 
 The quadratic machinery lives here too: the discriminant, a best-effort
-square-root search for nilpotent elements, and the quadratic solver
-with its five-way outcome.
+layered square root of nilpotent elements (closed form for a grade-1
+bottom layer and for odd minimum grade, a Gauss-Newton fit for bottom
+layers of grade 2 or more and, as the last resort, for all layers at
+once), and the quadratic solver with its five-way outcome.
 """
 
 from __future__ import annotations
@@ -322,6 +324,11 @@ MAX_UNKNOWNS = 120
 _NEWTON_STEPS = 60
 
 
+def _squares_to(v: Zeon, w: Zeon, tol: Tolerance) -> bool:
+    """True when ``v*v`` matches ``w`` to ``eq_eps * max(1, |w|)``."""
+    return (v.mul(v) - w).max_abs() <= tol.eq_eps * max(1.0, w.max_abs())
+
+
 def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     """Gauss-Newton fit of ``v = sum_j x_j z{cands[j]}`` to ``v*v = w``.
 
@@ -332,9 +339,9 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     ``np.linalg.lstsq`` (the minimum-norm step when the system is
     underdetermined), with no split into real and imaginary parts.  A
     constant start and three seeded random ones run in turn; the first
-    ``v`` whose exact product matches ``w`` to ``eq_eps * max(1, |w|)``
-    is returned, None when no start gets there or there are no
-    candidates or more than ``MAX_UNKNOWNS``.
+    ``v`` whose exact product matches ``w`` (:func:`_squares_to`) is
+    returned, None when no start gets there or there are no candidates
+    or more than ``MAX_UNKNOWNS``.
     """
     k = len(cands)
     if not k or k > MAX_UNKNOWNS:
@@ -351,8 +358,7 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     row = np.array([row_of[cands[a] | cands[b]] for a, b in pairs])
     target = np.array([w.coeff(mask_to_indices(mk)) for mk in rows],
                       dtype=np.complex128)
-    scale = max(1.0, w.max_abs())
-    amp = np.sqrt(scale / 2.0)
+    amp = np.sqrt(max(1.0, w.max_abs()) / 2.0)
     rng = np.random.default_rng(20240801)
     starts = [np.full(k, amp * (1 + 1j))]
     starts += [amp * (rng.normal(size=k) + 1j * rng.normal(size=k))
@@ -372,24 +378,9 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
         if not np.all(np.isfinite(x)):
             continue
         v = Zeon(w.n, zip(blades, x))
-        if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
+        if _squares_to(v, w, tol):
             return v
     return None
-
-
-def _search_square_root(w: Zeon, grade_lo: int,
-                        tol: Tolerance) -> Zeon | None:
-    """Least-squares search for v with v*v = w, min grade >= grade_lo.
-
-    Candidate blades are restricted to the generators appearing in ``w``
-    and to grades that can still contribute to a product of grade <= n;
-    all layers are fitted at once by :func:`least_squares`.
-    """
-    gen_bits = _support_generators(w)
-    grade_hi = min(max(grade_lo, w.n - grade_lo), len(gen_bits))
-    cands = [b for g in range(grade_lo, grade_hi + 1)
-             for b in _blades_of_grade(gen_bits, g)]
-    return least_squares(w, cands, tol)
 
 
 def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
@@ -398,17 +389,16 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
     A nonzero nilpotent square always has minimum grade at least 2
     (every blade of ``v*v`` is a disjoint union of two blades of ``v``),
     so an input with a grade-1 term fails immediately and that failure
-    is certified.  Everything else runs a layered search: the lowest
-    unknown layer ``v_g`` with ``2g = min_grade(w)`` comes in closed form
-    for ``g = 1`` and from a Gauss-Newton fit above that (for odd
-    minimum grade 2g+1 the bottom is a trial null-square blade instead),
-    and each higher layer then solves a linear minimum-norm system,
-    since ``2 v_g x`` is linear in ``x``.  For ``g = 1`` the grade-2 part
-    can leave one product ``a_p a_q`` of the bottom free; the upper
-    grades of ``w`` then give the split ``a_p / a_q`` to leading order
-    (see :func:`_grade_one_bottoms`).  When the layers do not verify, the
-    same fit over all layers at once is the last resort
-    (:func:`least_squares`).
+    is certified.  Everything else runs a layered search for a root of
+    minimum grade ``g = m // 2``, ``m = min_grade(w)``: a candidate
+    bottom layer ``v_g``, then each higher layer from a linear
+    minimum-norm system, since ``2 v_g x`` is linear in ``x``.  The
+    bottom comes in closed form for odd ``m`` (a single null-square
+    blade scaled from the upper grades, :func:`_odd_bottoms`) and for
+    ``g = 1`` (:func:`_grade_one_bottoms`), and from the Gauss-Newton
+    fit :func:`least_squares` for even ``m >= 4``.  When no completed
+    layer stack verifies, the same fit over all layers at once is the
+    last resort.
 
     Raises :class:`SqrtNotFound` when nothing verifies; ``certified`` is
     True only for the provable grade obstruction.
@@ -426,24 +416,22 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
             f"input has minimum grade {m}",
             certified=True,
         )
-    if m % 2 == 1:
-        v = _odd_layered_sqrt(w, (m - 1) // 2, tol)
-        if v is None:
-            v = _search_square_root(w, (m - 1) // 2, tol)
-        if v is not None:
-            return v
+    g = m // 2
+    gen_bits = _support_generators(w)
+    v = _layered_sqrt(w, m, gen_bits, tol)
+    if v is None:
+        # all layers at once, over the grades that can still reach a
+        # product of grade <= n
+        grade_hi = min(max(g, w.n - g), len(gen_bits))
+        v = least_squares(w, [b for k in range(g, grade_hi + 1)
+                              for b in _blades_of_grade(gen_bits, k)], tol)
+    if v is None:
         raise SqrtNotFound(
-            f"odd minimum grade {m}: no root found by search",
+            f"minimum grade {m}: no square root found by the layered or "
+            "the all-layer search",
             certified=False,
         )
-    g = m // 2
-    v = _layered_sqrt(w, g, tol)
-    if v is None:
-        v = _search_square_root(w, g, tol)
-    if v is not None:
-        return v
-    raise SqrtNotFound("no square root found by layered search",
-                       certified=False)
+    return v
 
 
 def _support_generators(w: Zeon) -> list[int]:
@@ -460,104 +448,88 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
     With the bottom frozen, the grade g+t slice only reaches grade
     2g+t of the square through 2*v_g*x, so each higher layer is a
     linear minimum-norm solve against the residual at its grade.
-    Earlier layers feed later residuals through the known-part square.
+    Earlier layers feed later residuals through the running root's
+    square.
     """
-    n = w.n
-    comps = [v_g]
-    for t in range(1, n - 2 * g + 1):
-        grade = g + t
-        if grade > len(gen_bits):
-            break
-        known = comps[0]
-        for c in comps[1:]:
-            known = known.add(c)
-        residual = w.grade_part(2 * g + t) - known.mul(known).grade_part(2 * g + t)
-        cands = _blades_of_grade(gen_bits, grade)
-        if not cands:
-            break
+    bottom = list(zip(v_g.support_masks(), [c for _, c in v_g.terms()]))
+    v = v_g
+    for grade in range(g + 1, min(w.n - g, len(gen_bits)) + 1):
+        residual = (w.grade_part(g + grade)
+                    - v.mul(v).grade_part(g + grade))
         if residual.is_zero():
             continue
+        cands = _blades_of_grade(gen_bits, grade)
         rows = sorted(set(
             residual.support_masks()
-            + [a | k for a in v_g.support_masks() for k in cands if not a & k]
+            + [a | k for a, _ in bottom for k in cands if not a & k]
         ))
         A = np.zeros((len(rows), len(cands)), dtype=np.complex128)
         row_pos = {mk: i for i, mk in enumerate(rows)}
         for j, k in enumerate(cands):
-            for a in v_g.support_masks():
-                if a & k:
-                    continue
-                A[row_pos[a | k], j] += 2.0 * v_g.coeff(mask_to_indices(a))
+            for a, c in bottom:
+                if not a & k:
+                    A[row_pos[a | k], j] += 2.0 * c
         b = np.asarray([residual.coeff(mask_to_indices(mk)) for mk in rows],
                        dtype=np.complex128)
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        comps.append(Zeon(n, zip(map(mask_to_indices, cands), x)))
-    out = comps[0]
-    for c in comps[1:]:
-        out = out.add(c)
-    return out
+        v = v.add(Zeon(w.n, zip(map(mask_to_indices, cands), x)))
+    return v
 
 
-def _layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
-    """Grade-layered construction of v with v*v = w, min grade g.
+def _layered_sqrt(w: Zeon, m: int, gen_bits: list[int],
+                  tol: Tolerance) -> Zeon | None:
+    """Grade-layered construction of v with v*v = w, min grade m // 2.
 
-    Each candidate bottom layer is completed upward, and the first whose
-    exact product reproduces ``w`` is returned.
+    The candidate bottom layers depend on the case (see
+    :func:`nilpotent_sqrt`); each is completed upward, and the first
+    whose exact product reproduces ``w`` is returned.
     """
-    gen_bits = _support_generators(w)
-    if g > len(gen_bits):
-        return None
-    if g == 1:
+    g = m // 2
+    if m % 2:
+        bottoms = _odd_bottoms(w, gen_bits, g)
+    elif g == 1:
         bottoms = _grade_one_bottoms(w, gen_bits, tol)
     else:
-        v_g = _fit_bottom_layer(w.grade_part(2 * g), gen_bits, g, tol)
+        v_g = least_squares(w.grade_part(m), _blades_of_grade(gen_bits, g),
+                            tol)
         bottoms = [] if v_g is None else [v_g]
-    scale = max(1.0, w.max_abs())
     for v_g in bottoms:
         v = _complete_layers(w, v_g, g, gen_bits)
-        if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
+        if _squares_to(v, w, tol):
             return v
     return None
 
 
-def _odd_layered_sqrt(w: Zeon, g: int, tol: Tolerance) -> Zeon | None:
-    """Layered construction for odd minimum grade 2g+1.
+def _odd_bottoms(w: Zeon, gen_bits: list[int], g: int) -> Iterator[Zeon]:
+    """Closed-form bottoms ``a z_B`` for odd minimum grade ``2g+1``.
 
-    The bottom layer must square to zero (the input has nothing at
-    grade 2g), and every lowest-grade blade of the input has to contain
-    a bottom blade for the first linear layer to be solvable.  A single
-    grade-g blade inside the common intersection of those supports
-    satisfies both, so each such blade is tried as the bottom and the
-    higher layers are completed linearly; the caller verifies.
+    The bottom layer must square to zero (``w`` has nothing at grade
+    2g), and every lowest-grade blade of ``w`` has to contain a bottom
+    blade for the first linear layer to be solvable.  A single grade-g
+    blade ``B`` inside the common intersection of those blades does
+    both.  With ``v = a z_B + y + ...`` (``y`` of grade g+1), grade 2g+1
+    gives ``a y[K] = w[B|K] / 2 =: x[K]``, and on a grade-(2g+2) blade
+    ``K`` disjoint from ``B`` only ``y*y`` reaches ``w``, so
+    ``a**2 = (x*x)[K] / w[K]``, read on the disjoint ``K`` with the
+    largest ``|w[K]|``; ``a = 1`` when ``w`` has no such blade.  The
+    caller completes and verifies.
     """
-    gen_bits = _support_generators(w)
-    if g > len(gen_bits):
-        return None
+    c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
+    lowest = [mk for mk in c if mk.bit_count() == 2 * g + 1]
     common = ~0
-    for mk in w.grade_part(2 * g + 1).support_masks():
+    for mk in lowest:
         common &= mk
     shared = [b for b in gen_bits if b & common]
-    scale = max(1.0, w.max_abs())
-    for mask_tuple in itertools.combinations(shared, g):
-        mask = 0
-        for b in mask_tuple:
-            mask |= b
-        bottom = Zeon(w.n, [(mask_to_indices(mask), 1.0)])
-        v = _complete_layers(w, bottom, g, gen_bits)
-        if (v.mul(v) - w).max_abs() <= tol.eq_eps * scale:
-            return v
-    return None
-
-
-def _fit_bottom_layer(target: Zeon, gen_bits: list[int], g: int,
-                      tol: Tolerance) -> Zeon | None:
-    """Solve (v_g)**2 = target for homogeneous v_g of grade g >= 2.
-
-    Grade 1 has a closed form (:func:`_grade_one_bottoms`).  Higher
-    grades are quadratic in the unknown coefficients and are fitted by
-    :func:`least_squares` over the grade-g blades of the generators.
-    """
-    return least_squares(target, _blades_of_grade(gen_bits, g), tol)
+    for blade in itertools.combinations(shared, g):
+        B = sum(blade)
+        upper = [mk for mk in c if mk.bit_count() == 2 * g + 2 and not mk & B]
+        a = 1.0
+        if upper:
+            x = Zeon(w.n, [(mask_to_indices(mk ^ B), c[mk] / 2.0)
+                           for mk in lowest])
+            K = max(upper, key=lambda mk: abs(c[mk]))
+            a = cmath.sqrt(x.mul(x).coeff(mask_to_indices(K)) / c[K])
+        yield Zeon.blade(w.n, mask_to_indices(B), a)
 
 
 def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
@@ -609,8 +581,7 @@ def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
                 if split not in splits:
                     splits.append(split)
     v = bottom(splits[0])
-    scale = max(1.0, target.max_abs())
-    if (v.mul(v) - target).max_abs() > tol.eq_eps * scale:
+    if not _squares_to(v, target, tol):
         return
     yield v
     for split in splits[1:]:

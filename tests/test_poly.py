@@ -353,11 +353,24 @@ class TestNilpotentSqrt:
         with pytest.raises(ValueError):
             nilpotent_sqrt(Zeon.one(2))
 
-    def test_odd_grade_root_found(self):
-        # 2 z{1,2,3} = (z1 + z{2,3})^2: odd min grade but solvable
-        w = Zeon.blade(3, (1, 2, 3)).scale(2.0)
+    @pytest.mark.parametrize("v0", [
+        # 2 z{1,2,3} = (z1 + z{2,3})^2
+        Zeon(3, {(1,): 1, (2, 3): 1}),
+        # the bottom blade's scale 0.5 is read from the grade-4 part
+        Zeon(5, {(1,): 0.5, (2, 3): 1, (4, 5): 1}),
+        Zeon(5, {(1,): 2j, (2, 3): -1, (4, 5): 1, (2, 4): -0.5}),
+    ])
+    def test_odd_grade_root_found(self, v0, monkeypatch):
+        # odd minimum grade: the bottom a z_B comes in closed form, so
+        # least squares must not run
+        def refuse(*args, **kwargs):
+            raise AssertionError("least squares called")
+
+        monkeypatch.setattr(zeon.poly, "least_squares", refuse)
+        w = v0.mul(v0)
         v = nilpotent_sqrt(w)
-        assert (v.mul(v) - w).max_abs() < 1e-8
+        got = dense_mul(to_dense(v), to_dense(v))
+        assert np.abs(got - to_dense(w)).max() < 1e-12
 
     def test_layered_root(self):
         # 2 z{1,2} + z{1,2,3,4}: bottom layer z1+z2, grade-3 correction
@@ -402,6 +415,8 @@ class TestNilpotentSqrt:
     @pytest.mark.parametrize("v0", [
         Zeon(6, {(4,): 1, (6,): 2, (1, 2, 5): 1}),
         Zeon(4, {(1,): 1, (2,): 2, (3, 4): 1}),
+        # linked third index: a_p**2 = t_pq t_pr / (2 t_qr)
+        Zeon(4, {(1,): 1, (2,): 2, (3,): 3}),
     ])
     def test_grade_one_split_read_from_upper_grades(self, v0, monkeypatch):
         # the grade-2 part 4 z{p,q} fixes only a_p a_q = 2; the grade-3
