@@ -11,8 +11,8 @@ operand is wide; they too send a product of at most ``SMALL_PAIRS``
 pairs, or a sum or canonicalisation of at most ``SMALL_TERMS`` terms,
 through the dict helpers, and larger ones through the outer product or
 a stable argsort and ``np.add.reduceat``.  Every path drops output terms
-at or below ``prune`` in magnitude and raises ``ValueError`` on a
-non-finite coefficient, so an overflow is never stored.
+at or below ``prune`` in magnitude and raises ``NonFiniteResult`` on a
+non-finite coefficient, on either form the one report of an overflow.
 
 The thresholds sit at crossovers measured on random canonical operands
 (n = 8 to 11, 2 CPUs, numpy 2.4).  On tuple operands the dict product
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteResult
+
 __all__ = [
     "backend_name", "mul_terms", "combine_terms", "add_terms",
 ]
@@ -39,6 +41,9 @@ _INF = float("inf")
 # element is held as tuples (see the module docstring)
 SMALL_PAIRS = 96
 SMALL_TERMS = 16
+# turns numpy's overflow warnings off around each array kernel, entered
+# once per call; a decorator costs half a ``with``
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def pack(masks, coefs):
@@ -68,7 +73,7 @@ def keep_terms(pairs, prune: float):
     for m, c in pairs:
         a = abs(c)
         if not a < _INF:
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteResult("coefficients must be finite")
         if a > prune:
             masks.append(m)
             coefs.append(c)
@@ -79,7 +84,7 @@ def keep_mask(coefs: np.ndarray, prune: float) -> np.ndarray:
     """Where ``|coefs| > prune``; raises if a coefficient is not finite."""
     mag = np.abs(coefs)
     if not np.maximum.reduce(mag) < _INF:
-        raise ValueError("coefficients must be finite")
+        raise NonFiniteResult("coefficients must be finite")
     return mag > prune
 
 
@@ -103,7 +108,7 @@ def dict_mul(ia, ca, ib, cb, prune: float):
     return keep_terms(sorted(acc.items()), prune)
 
 
-def combine_terms(masks: np.ndarray, coefs: np.ndarray, prune: float):
+def _combine(masks: np.ndarray, coefs: np.ndarray, prune: float):
     """Canonicalise raw (mask, coefficient) pairs.
 
     Sorts by mask, merges duplicates by summing, and drops entries whose
@@ -123,12 +128,17 @@ def combine_terms(masks: np.ndarray, coefs: np.ndarray, prune: float):
     return m[starts][keep], sums[keep]
 
 
+# ``mul_terms`` calls ``_combine`` inside its own ``_quiet``
+combine_terms = _quiet(_combine)
+
+
 def add_terms(ia, ca, ib, cb, prune: float):
     """Sum of two canonical term arrays, pruned like :func:`combine_terms`."""
     return combine_terms(np.concatenate([ia, ib]), np.concatenate([ca, cb]),
                          prune)
 
 
+@_quiet
 def mul_terms(ia, ca, ib, cb, prune: float):
     """Blade product of two canonical term arrays.
 
@@ -143,7 +153,15 @@ def mul_terms(ia, ca, ib, cb, prune: float):
     keep = (ia[:, None] & ib[None, :]) == 0
     masks = (ia[:, None] | ib[None, :])[keep]
     vals = (ca[:, None] * cb[None, :])[keep]
-    return combine_terms(masks, vals, prune)
+    return _combine(masks, vals, prune)
+
+
+@_quiet
+def scale_terms(ia, ca, c: complex, prune: float):
+    """``c`` times a canonical term array, pruned like :func:`combine_terms`."""
+    coefs = ca * c
+    keep = keep_mask(coefs, prune)
+    return ia[keep], coefs[keep]
 
 
 def backend_name() -> str:

@@ -23,6 +23,7 @@ ones, overflows included, are refused.
 from __future__ import annotations
 
 import cmath
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
@@ -33,13 +34,13 @@ from ._backend import (
     combine_terms,
     dict_mul,
     dict_sum,
-    keep_mask,
     keep_terms,
     mul_terms,
     pack,
+    scale_terms,
     to_arrays,
 )
-from .errors import DimensionMismatch, NotInvertible
+from .errors import DimensionMismatch, NonFiniteResult, NotInvertible
 
 __all__ = [
     "Tolerance",
@@ -298,14 +299,12 @@ class Zeon:
     def scale(self, c: complex) -> "Zeon":
         c = complex(c)
         if not cmath.isfinite(c):
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteResult("coefficients must be finite")
         prune = _current_tol.prune_eps
         if type(self._coef) is tuple:
             return _raw(self.n, *keep_terms(
                 zip(self._idx, [x * c for x in self._coef]), prune))
-        coef = self._coef * c
-        keep = keep_mask(coef, prune)
-        return _raw(self.n, self._idx[keep], coef[keep])
+        return _raw(self.n, *scale_terms(self._idx, self._coef, c, prune))
 
     def mul(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
@@ -357,9 +356,8 @@ class Zeon:
     def inverse(self, tol: Tolerance | None = None) -> "Zeon":
         """Multiplicative inverse.
 
-        Exists exactly when the scalar part is nonzero; the nilpotent
-        remainder feeds a geometric series that terminates in at most
-        ``n`` products.
+        Exists exactly when the scalar part ``c`` is nonzero; with ``d``
+        the dual part it is the finite sum ``sum_k (1/c) (-d/c)**k``.
         """
         tol = _resolve(tol)
         c = self.scalar_part()
@@ -367,15 +365,8 @@ class Zeon:
             raise NotInvertible(
                 "scalar part is zero (or below eq_eps); no inverse exists"
             )
-        ratio = self.dual_part().scale(-1.0 / c)
-        acc = Zeon.one(self.n)
-        term = Zeon.one(self.n)
-        for _ in range(self.n):
-            term = term.mul(ratio)
-            if term.is_zero():
-                break
-            acc = acc.add(term)
-        return acc.scale(1.0 / c)
+        return _taylor_sum(self.dual_part().scale(-1.0 / c),
+                           itertools.repeat(1.0 / c))
 
     def isclose(self, other: ZeonLike, tol: Tolerance | None = None,
                 *, eps: float | None = None) -> bool:
@@ -467,6 +458,39 @@ def generators(n: int) -> tuple[Zeon, ...]:
     return tuple(Zeon.blade(n, (i,)) for i in range(1, n + 1))
 
 
+def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
+    """``sum_k a_k x**k`` for a nilpotent ``x``, ``a_k`` read from ``coeffs``.
+
+    Stops when a power of ``x`` vanishes, after ``x**n``, or when
+    ``coeffs`` runs out.  The power ``x**k`` is held times the largest
+    coefficient from ``a_k`` on and takes its product with ``x`` before
+    it shrinks to the next one, unless that product overflows.  So no
+    power is pruned below the size of a term still to come, a dip in the
+    coefficients (``cos`` at pi) erases nothing after it, and falling
+    coefficients (a root at a large scalar) shrink the power with them.
+    """
+    a = list(itertools.islice(coeffs, x.n + 1))
+    # big[k]: the coefficient of largest magnitude among a[k:]
+    big = list(itertools.accumulate(
+        reversed(a), lambda b, c: c if abs(c) > abs(b) else b))[::-1]
+    total = Zeon.scalar(x.n, a[0]) if a else Zeon.zero(x.n)
+    term, size = x, 1.0
+    for k in range(1, len(a)):
+        if k > 1:
+            try:
+                term = term.mul(x)
+            except NonFiniteResult:
+                term, size = term.scale(big[k] / size).mul(x), big[k]
+        if term.is_zero() or big[k] == 0:
+            break
+        if big[k] != size:
+            term, size = term.scale(big[k] / size), big[k]
+        if a[k] != 0:
+            total = total.add(term if a[k] == size
+                              else term.scale(a[k] / size))
+    return total
+
+
 # -- roots ----------------------------------------------------------------
 
 
@@ -474,12 +498,9 @@ def principal_kth_root(w: Zeon, k: int, tol: Tolerance | None = None) -> Zeon:
     """The k-th root whose scalar part is the principal complex root.
 
     Requires an invertible element (nonzero scalar part).  With
-    ``w = s + d`` (``d`` nilpotent) and ``r`` the principal root of
-    ``s``, the root is the finite binomial sum
-    ``r * sum_j binom(1/k, j) (d/s)**j``, which stops after at most
-    ``n`` terms because ``d**(n+1)`` vanishes.  Each term is carried at
-    its final size, ``r`` included, so pruning never drops a part of
-    the root that would survive in the result.
+    ``w = c + d`` (``d`` nilpotent) and ``r`` the principal root of
+    ``c``, the root is the finite Taylor sum
+    ``sum_j binom(1/k, j) r / c**j * d**j``.
     """
     tol = _resolve(tol)
     if k < 1:
@@ -487,19 +508,10 @@ def principal_kth_root(w: Zeon, k: int, tol: Tolerance | None = None) -> Zeon:
     c = w.scalar_part()
     if abs(c) <= tol.eq_eps:
         raise NotInvertible("k-th roots require an invertible element")
-    d = w.dual_part()
-    term = Zeon.scalar(w.n, cmath.exp(cmath.log(c) / k))
-    acc = term
-    for j in range(1, w.n + 1):
-        # binom(1/k, j) / binom(1/k, j-1); zero ends the sum when k == 1
-        ratio = (1.0 / k - (j - 1)) / j
-        if ratio == 0.0:
-            break
-        term = term.scale(ratio / c).mul(d)
-        if term.is_zero():
-            break
-        acc = acc.add(term)
-    return acc
+    r = cmath.exp(cmath.log(c) / k)
+    # binom(1/k, j) r / c**j for j = 0..n; zero from j = 2 on when k == 1
+    return _taylor_sum(w.dual_part(), itertools.accumulate(
+        range(w.n), lambda a, j: a * (1.0 / k - j) / ((j + 1) * c), initial=r))
 
 
 def kth_roots(w: Zeon, k: int, tol: Tolerance | None = None) -> list[Zeon]:

@@ -6,7 +6,8 @@ part),
 
     f(u) = sum_{k=0..n} f_k(s) / k! * d**k
 
-and the sum is exact because ``d**k`` vanishes beyond grade ``n``.
+and the sum is exact because ``d**k`` vanishes beyond grade ``n``; it is
+the one finite sum behind inverses and k-th roots too (``_taylor_sum``).
 Collecting the same coefficients as a polynomial in ``(u - s)`` gives a
 degree-``n`` zeon polynomial that agrees with the extension on every
 element sharing the scalar part ``s``; that polynomial form is what
@@ -24,9 +25,9 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .algebra import Tolerance, Zeon, _resolve
+from .algebra import Tolerance, Zeon, _resolve, _taylor_sum
 from .errors import (
     DimensionMismatch,
     NotSpectrallySimple,
@@ -162,11 +163,8 @@ class ZeonExtension:
 
 
 def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
-    """Evaluate the extension at ``u`` via the truncated Taylor sum.
-
-    Exact up to floating point: powers of the dual part die out by
-    grade, so the loop stops as soon as a power vanishes.
-    """
+    """Evaluate the extension at ``u`` by the finite Taylor sum in its
+    dual part (see the module docstring)."""
     if u.n != ext.n:
         raise DimensionMismatch(
             f"element has n={u.n}, extension has n={ext.n}"
@@ -176,17 +174,12 @@ def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
         raise OutsideDomain(
             f"{ext.fn.name} is undefined at scalar part {s}"
         )
-    d = u.dual_part()
-    acc = Zeon.scalar(ext.n, ext.fn.derivative(s, 0))
-    pw = Zeon.one(ext.n)
-    fact = 1.0
-    for k in range(1, ext.n + 1):
-        pw = pw.mul(d)
-        if pw.is_zero():
-            break
-        fact *= k
-        acc = acc.add(pw.scale(ext.fn.derivative(s, k) / fact))
-    return acc
+    return _taylor_sum(u.dual_part(), _taylor_coeffs(ext, s))
+
+
+def _taylor_coeffs(ext: ZeonExtension, s: complex) -> Iterator[complex]:
+    for k in range(ext.n + 1):
+        yield ext.fn.derivative(s, k) / math.factorial(k)
 
 
 def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
@@ -199,14 +192,9 @@ def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
     z0 = complex(z0)
     if not ext.fn.in_domain(z0):
         raise OutsideDomain(f"{ext.fn.name} is undefined at {z0}")
-    fact = 1.0
-    alphas = [ext.fn.derivative(z0, 0)]
-    for k in range(1, ext.n + 1):
-        fact *= k
-        alphas.append(ext.fn.derivative(z0, k) / fact)
     # Horner in (u - z0): p <- p * (u - z0) + a, top coefficient first
     coeffs = [0j]
-    for a in reversed(alphas):
+    for a in reversed(list(_taylor_coeffs(ext, z0))):
         nxt = [0j] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] += c

@@ -133,14 +133,6 @@ _SLOT_KINDS = {
 }
 
 
-def _slot_from_json(obj: Any, kind: str) -> Zeon | ZeonPoly:
-    return poly_from_dict(obj) if kind == "poly" else zeon_from_dict(obj)
-
-
-def _slot_from_text(text: str, kind: str, n: int) -> Zeon | ZeonPoly:
-    return parse_poly(text, n) if kind == "poly" else parse_zeon(text, n)
-
-
 def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
     kinds = _SLOT_KINDS[ns.command]
     if ns.infile is not None:
@@ -155,7 +147,8 @@ def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
                     f"{ns.command} expects {len(kinds)} input(s), "
                     f"file holds {len(items)}"
                 )
-            loaded = [_slot_from_json(o, k) for o, k in zip(items, kinds)]
+            loaded = [poly_from_dict(o) if k == "poly" else zeon_from_dict(o)
+                      for o, k in zip(items, kinds)]
             for item in loaded:
                 if ns.n is not None and item.n != ns.n:
                     raise ValueError(
@@ -171,7 +164,8 @@ def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
         )
     if ns.n is None:
         raise _UsageError("--n is required for text inputs")
-    return [_slot_from_text(t, k, ns.n) for t, k in zip(texts, kinds)]
+    return [parse_poly(t, ns.n) if k == "poly" else parse_zeon(t, ns.n)
+            for t, k in zip(texts, kinds)]
 
 
 def _resolve_tolerance(ns: argparse.Namespace) -> tuple[Tolerance, float]:

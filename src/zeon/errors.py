@@ -21,6 +21,7 @@ __all__ = [
     "RootFindingFailed",
     "SqrtNotFound",
     "FamilyPreconditionError",
+    "NonFiniteResult",
 ]
 
 
@@ -84,3 +85,8 @@ class SqrtNotFound(ZeonError):
 
 class FamilyPreconditionError(ZeonError):
     """Inputs do not satisfy the hypotheses of a zero-family result."""
+
+
+class NonFiniteResult(ZeonError, ValueError):
+    """A coefficient came out infinite or NaN, as when finite operands
+    overflow; such a result is never stored."""

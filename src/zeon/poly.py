@@ -508,11 +508,12 @@ def _odd_bottoms(w: Zeon, gen_bits: list[int], g: int) -> Iterator[Zeon]:
     blade for the first linear layer to be solvable.  A single grade-g
     blade ``B`` inside the common intersection of those blades does
     both.  With ``v = a z_B + y + ...`` (``y`` of grade g+1), grade 2g+1
-    gives ``a y[K] = w[B|K] / 2 =: x[K]``, and on a grade-(2g+2) blade
-    ``K`` disjoint from ``B`` only ``y*y`` reaches ``w``, so
-    ``a**2 = (x*x)[K] / w[K]``, read on the disjoint ``K`` with the
-    largest ``|w[K]|``; ``a = 1`` when ``w`` has no such blade.  The
-    caller completes and verifies.
+    gives ``a y[K] = w[B|K] / 2``.  So ``a`` times the rest of the root
+    leads with ``x = sum w[B|K] / 2 z_K`` over every blade ``B|K`` of
+    ``w``, and on the lowest-grade blades ``K`` disjoint from ``B`` only
+    the rest squared reaches ``w``: ``a**2 = (x*x)[K] / w[K]``, read on
+    the one with the largest ``|w[K]|``; ``a = 1`` when ``w`` has no
+    blade disjoint from ``B``.  The caller completes and verifies.
     """
     c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
     lowest = [mk for mk in c if mk.bit_count() == 2 * g + 1]
@@ -522,12 +523,12 @@ def _odd_bottoms(w: Zeon, gen_bits: list[int], g: int) -> Iterator[Zeon]:
     shared = [b for b in gen_bits if b & common]
     for blade in itertools.combinations(shared, g):
         B = sum(blade)
-        upper = [mk for mk in c if mk.bit_count() == 2 * g + 2 and not mk & B]
+        disjoint = [mk for mk in c if not mk & B]
         a = 1.0
-        if upper:
+        if disjoint:
             x = Zeon(w.n, [(mask_to_indices(mk ^ B), c[mk] / 2.0)
-                           for mk in lowest])
-            K = max(upper, key=lambda mk: abs(c[mk]))
+                           for mk in c if mk & B == B])
+            K = min(disjoint, key=lambda mk: (mk.bit_count(), -abs(c[mk])))
             a = cmath.sqrt(x.mul(x).coeff(mask_to_indices(K)) / c[K])
         yield Zeon.blade(w.n, mask_to_indices(B), a)
 
@@ -661,15 +662,9 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
     try:
         w = nilpotent_sqrt(delta, tol)
     except SqrtNotFound as exc:
-        if exc.certified:
-            return QuadraticOutcome(
-                kind=QuadraticKind.NO_ZEROS,
-                zeros=(),
-                discriminant=delta,
-                note=str(exc),
-            )
         return QuadraticOutcome(
-            kind=QuadraticKind.UNDETERMINED,
+            kind=(QuadraticKind.NO_ZEROS if exc.certified
+                  else QuadraticKind.UNDETERMINED),
             zeros=(),
             discriminant=delta,
             note=str(exc),

@@ -240,8 +240,8 @@ def _terms_from_json(
         re_ = item.get("re", 0.0)
         im = item.get("im", 0.0)
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in (re_, im)):
-            raise ValueError(f"{where}: 're'/'im' must be numbers")
+                   and abs(v) < float("inf") for v in (re_, im)):
+            raise ValueError(f"{where}: 're'/'im' must be finite numbers")
         c = complex(re_, im)
         if c == 0:
             raise ValueError(f"{where}: zero coefficients are not stored")

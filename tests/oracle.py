@@ -74,6 +74,17 @@ def dense_inverse(a: np.ndarray) -> np.ndarray:
     return out / s
 
 
+def dense_taylor(a: np.ndarray, coeffs) -> np.ndarray:
+    """``sum_k coeffs[k] * a**k``, every power formed in full."""
+    n = int(len(a)).bit_length() - 1
+    out = dense_zero(n)
+    power = dense_scalar(n, 1.0)
+    for c in coeffs:
+        out = out + c * power
+        power = dense_mul(power, a)
+    return out
+
+
 def dense_poly_eval(coeffs: list[np.ndarray], point: np.ndarray) -> np.ndarray:
     """Horner evaluation; coeffs ascending by degree."""
     n = int(len(point)).bit_length() - 1

@@ -24,7 +24,8 @@ from zeon import (
     set_default_tolerance,
 )
 
-from conftest import random_invertible, random_zeon
+from conftest import random_invertible, random_zeon, to_dense
+from oracle import dense_taylor
 
 
 def z(n, *terms):
@@ -253,6 +254,26 @@ def test_inverse_round_trip(rng):
             assert prod.isclose(Zeon.one(n), eps=1e-10)
 
 
+def assert_matches(got: Zeon, want: np.ndarray) -> None:
+    # coefficient by coefficient, so a small term is not hidden behind a
+    # large one; terms at or below prune_eps may be dropped
+    assert np.allclose(to_dense(got), want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("u", [
+    # (-d/c)**2 = 5e-15 z{1,2} is below prune_eps, the term 5e-12 is not
+    z(2, ((), 1e-3), ((1,), 5e-11), ((2,), 5e-11)),
+    z(3, ((), 2.0), ((1,), 1.0), ((2, 3), -0.5j), ((1, 2), 3.0)),
+    z(4, ((), -1j), ((1,), 1e6), ((2,), 1e-6), ((3, 4), 1.0)),
+    Zeon.scalar(2, 4.0),
+], ids=["near-prune", "mixed", "wide-range", "scalar"])
+def test_inverse_matches_dense_taylor(u):
+    # 1/(c + d) = sum_k (1/c) (-d/c)**k
+    c = u.scalar_part()
+    want = dense_taylor(-to_dense(u.dual_part()) / c, [1 / c] * (u.n + 1))
+    assert_matches(u.inverse(), want)
+
+
 def test_division_operator(rng):
     u = random_invertible(rng, 3)
     v = random_invertible(rng, 3)
@@ -325,6 +346,43 @@ def test_roots_keep_dual_parts_at_extreme_scalar_scales():
     # but contributes -d*d / (8 s**1.5) = -2.5e-9 to the root
     r = principal_kth_root(z(2, ((), 1e-8), ((1,), 1e-10), ((2,), 1e-10)), 2)
     assert abs(r.coeff((1, 2)) + 2.5e-9) < 1e-20
+
+
+def binomial(p: complex, j: int) -> complex:
+    out = 1.0 + 0j
+    for i in range(j):
+        out *= (p - i) / (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("w, k", [
+    (z(2, ((), 1e-8), ((1,), 1e-10), ((2,), 1e-10)), 2),
+    (z(3, ((), 1e20), ((1,), 1e5), ((2,), 1e5), ((3,), 1e5)), 3),
+    (z(4, ((), -4.0), ((1,), 1.0), ((2, 3), 2j), ((4,), -0.5)), 5),
+    (z(2, ((), 2.0), ((1,), 1.0), ((2,), 1.0)), 1),
+    # binom(1/2, 1) r / c = 5e-21 is below prune_eps, the term 5e19 z{1}
+    # is not
+    (z(1, ((), 1e40), ((1,), 1e40)), 2),
+    # binom(1/2, 1) r / c * d*d = 1e290 z{1,2} is finite, r * d*d is not
+    (z(2, ((), 1e20), ((1,), 1e150), ((2,), 1e150)), 2),
+    # binom(1/2, 2) r / c**2 * d = 1.25e-31 z{1} is below prune_eps, the
+    # term -0.25 z{1,2} is not
+    (z(2, ((), 1e40), ((1,), 1e30), ((2,), 1e30)), 2),
+    # binom(1/2, 1) r / c * d*d = 1e310 overflows, the term -2.5e289
+    # z{1,2} does not
+    (z(2, ((), 1e20), ((1,), 1e160), ((2,), 1e160)), 2),
+    # the root's z{1..8} term, binom(1/2, 8) 8! 1e20 = -5.3e22, is finite
+    (Zeon(8, {(): 1e40, **{(i,): 1e40 for i in range(1, 9)}}), 2),
+])
+def test_principal_root_matches_dense_taylor(w, k):
+    # w**(1/k) = r sum_j binom(1/k, j) (d/c)**j, r the principal root of
+    # c; powers of d/c, since d*d or c**j may overflow where the root
+    # does not
+    c = w.scalar_part()
+    r = cmath.exp(cmath.log(c) / k)
+    coeffs = [binomial(1 / k, j) * r for j in range(w.n + 1)]
+    assert_matches(principal_kth_root(w, k),
+                   dense_taylor(to_dense(w.dual_part()) / c, coeffs))
 
 
 def test_kth_roots_reject_non_invertible():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from zeon import (
@@ -17,9 +18,11 @@ from zeon import (
     extend_eval,
     polynomial_form,
     preimage,
+    principal_kth_root,
 )
 
-from conftest import random_zeon
+from conftest import random_nilpotent, random_zeon, to_dense
+from oracle import dense_taylor
 
 Z1 = Zeon.blade(2, (1,))
 Z2 = Zeon.blade(2, (2,))
@@ -45,6 +48,25 @@ def cosine_pair():
     })
     w = Zeon(4, {(): s3 / 2.0, (1,): 3.0, (1, 2): 1.0, (4,): -1.0})
     return lam, w
+
+
+def log_taylor(s, n):
+    """Taylor coefficients of log at ``s``, k = 0..n."""
+    return [cmath.log(s)] + [(-1) ** (k + 1) / (k * s ** k)
+                             for k in range(1, n + 1)]
+
+
+def exp_taylor(s, n):
+    return [cmath.exp(s) / math.factorial(k) for k in range(n + 1)]
+
+
+def sqrt_taylor(s, n):
+    """Taylor coefficients binom(1/2, k) s**(1/2 - k) of sqrt at ``s``."""
+    out, a = [], cmath.sqrt(s)
+    for k in range(n + 1):
+        out.append(a)
+        a *= (0.5 - k) / ((k + 1) * s)
+    return out
 
 
 # -- function table ---------------------------------------------------------
@@ -137,6 +159,53 @@ class TestExtendEval:
         u = random_zeon(rng, 4)
         sn, cs = ext("sin", 4).eval(u), ext("cos", 4).eval(u)
         assert (sn.mul(sn) + cs.mul(cs)).isclose(Zeon.one(4), eps=1e-8)
+
+    @pytest.mark.parametrize("name, taylor, u", [
+        # d*d = 2e-16 z{1,2} is below prune_eps, the term -z{1,2} is not
+        ("log", log_taylor, Zeon(2, {(): 1e-8, (1,): 1e-8, (2,): 1e-8})),
+        # d*d = 2e-20 z{1,2}; the term is -2.5e-9 z{1,2}
+        ("sqrt", sqrt_taylor, Zeon(2, {(): 1e-8, (1,): 1e-10, (2,): 1e-10})),
+        ("log", log_taylor,
+         Zeon(3, {(): 2 + 1j, (1,): 0.5, (2, 3): -1j, (3,): 4.0})),
+        ("sqrt", sqrt_taylor,
+         Zeon(3, {(): 1e6, (1,): 1e3, (2,): 1e3, (3,): 1e3})),
+        # a finite 1e290 z{1,2} on the way to -2.5e269 z{1,2}
+        ("sqrt", sqrt_taylor,
+         Zeon(2, {(): 1e20, (1,): 1e150, (2,): 1e150})),
+        # every coefficient e**-100/k! is below prune_eps, the term
+        # 3.7e-4 z{1} is not
+        ("exp", exp_taylor, Zeon(1, {(): -100.0, (1,): 1e40})),
+    ])
+    def test_matches_dense_taylor(self, name, taylor, u):
+        want = dense_taylor(to_dense(u.dual_part()),
+                            taylor(u.scalar_part(), u.n))
+        got = to_dense(ext(name, u.n).eval(u))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("u", [
+        Zeon(2, {(): 1e-8, (1,): 1e-10, (2,): 1e-10}),
+        Zeon(3, {(): 3 - 4j, (1,): 1.0, (2,): 2j, (1, 3): -0.5}),
+    ])
+    def test_sqrt_matches_principal_root(self, u):
+        got = to_dense(ext("sqrt", u.n).eval(u))
+        want = to_dense(principal_kth_root(u, 2))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("name, s", [("sin", 0.0), ("cos", 0.0),
+                                         ("sin", math.pi), ("cos", math.pi)])
+    def test_sin_cos_match_dense_taylor(self, rng, name, s):
+        # every other Taylor coefficient vanishes at 0 and is rounding
+        # dust at pi; the terms after it must survive
+        cycle = [math.sin(s), math.cos(s), -math.sin(s), -math.cos(s)]
+        shift = 0 if name == "sin" else 1
+        for n in range(1, 7):
+            for _ in range(5):
+                u = random_nilpotent(rng, n)
+                coeffs = [cycle[(k + shift) % 4] / math.factorial(k)
+                          for k in range(n + 1)]
+                want = dense_taylor(to_dense(u), coeffs)
+                got = to_dense(ext(name, n).eval(Zeon.scalar(n, s) + u))
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_log_on_cut_rejected(self):
         with pytest.raises(OutsideDomain):

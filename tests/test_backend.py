@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_zeon, to_dense
 from oracle import dense_from_terms, dense_mul
-from zeon import Zeon, backend_name
+from zeon import NonFiniteResult, Zeon, ZeonError, backend_name
 from zeon import _backend
 from zeon._backend import add_terms, combine_terms, mul_terms
 
@@ -197,9 +197,6 @@ class TestKernelAgreement:
         assert mi.size == 0 and mc.size == 0
 
 
-# numpy warns about the overflow before the kernel refuses the result
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 class TestFiniteResults:
     """Finite operands whose result overflows are refused, never stored."""
 
@@ -216,6 +213,17 @@ class TestFiniteResults:
                        lambda: Zeon(2, [((), 1e308), ((), 1e308)])):
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 result()
+
+    def test_overflow_raises_one_error_on_either_form(self, path):
+        # NonFiniteResult, with no numpy warning before it (the suite
+        # turns RuntimeWarning into an error)
+        huge = Zeon(2, {(): 1e200, (1,): 1e200})
+        big = huge.scale(1e108)
+        for result in (lambda: huge * huge, lambda: huge * 1e200,
+                       lambda: big + big):
+            with pytest.raises(NonFiniteResult) as exc:
+                result()
+            assert isinstance(exc.value, ZeonError)
 
     def test_non_finite_input_is_refused_on_either_kernel(self, path):
         for count in (1, 16, 17, 40):

@@ -378,6 +378,26 @@ class TestErrors:
         assert out == ""
         assert error_name(err) == "NotInvertible"
 
+    def test_overflow_exit_2(self):
+        # finite input whose inverse overflows is a result, not a parse,
+        # failure
+        code, out, err = run("inv", "--n", "2", "1e-5 + 1e305 z{1}")
+        assert (code, out) == (2, "")
+        assert error_name(err) == "NonFiniteResult"
+
+    def test_non_finite_text_is_parse_error(self):
+        code, _, err = run("inv", "--n", "1", "1 + 1e400 z{1}")
+        assert code == 1
+        assert error_name(err) == "ParseError"
+
+    def test_non_finite_json_is_parse_error(self, tmp_path):
+        f = tmp_path / "u.json"
+        f.write_text('{"n": 1, "terms": [{"index": [], "re": 1, "im": 0},'
+                     ' {"index": [1], "re": Infinity, "im": 0}]}')
+        code, _, err = run("inv", "--in", str(f))
+        assert code == 1
+        assert error_name(err) == "ParseError"
+
     def test_quad_no_zeros_exit_2(self):
         code, out, err = run("quad", "--n", "2", "1", "-2", "1 + z{1}")
         assert code == 2

@@ -359,6 +359,9 @@ class TestNilpotentSqrt:
         # the bottom blade's scale 0.5 is read from the grade-4 part
         Zeon(5, {(1,): 0.5, (2, 3): 1, (4, 5): 1}),
         Zeon(5, {(1,): 2j, (2, 3): -1, (4, 5): 1, (2, 4): -0.5}),
+        # no grade-4 blade is disjoint from z1; the scale is read on
+        # the grade-5 blade z{2,3,4,5,8}
+        Zeon(8, {(1,): 0.5, (2, 3): 1, (4, 5, 8): 1}),
     ])
     def test_odd_grade_root_found(self, v0, monkeypatch):
         # odd minimum grade: the bottom a z_B comes in closed form, so
