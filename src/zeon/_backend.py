@@ -14,6 +14,13 @@ a stable argsort and ``np.add.reduceat``.  Every path drops output terms
 at or below ``prune`` in magnitude and raises ``NonFiniteResult`` on a
 non-finite coefficient, on either form the one report of an overflow.
 
+numpy is imported on the first access to an array kernel (``to_arrays``,
+``combine_terms``, ``add_terms``, ``mul_terms``, ``scale_terms``), which
+the module ``__getattr__`` (PEP 562) turns into binding all of them
+here; later calls find them as ordinary module attributes.  So small
+elements never import numpy: it loads with the first wide element or
+kernel operand.
+
 The thresholds sit at crossovers measured on random canonical operands
 (n = 8 to 11, 2 CPUs, numpy 2.4).  On tuple operands the dict product
 costs 0.4-0.5x the numpy one (conversions included) up to 256 pairs
@@ -27,13 +34,11 @@ any ``SMALL_PAIRS`` from 64 to 256 and ``SMALL_TERMS`` from 12 to 32.
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
 from .errors import NonFiniteResult
 
-__all__ = [
-    "backend_name", "mul_terms", "combine_terms", "add_terms",
-]
+__all__ = ["mul_terms", "combine_terms", "add_terms"]
 
 _INF = float("inf")
 
@@ -41,29 +46,53 @@ _INF = float("inf")
 # element is held as tuples (see the module docstring)
 SMALL_PAIRS = 96
 SMALL_TERMS = 16
-# turns numpy's overflow warnings off around each array kernel, entered
-# once per call; a decorator costs half a ``with``
-_quiet = np.errstate(over="ignore", invalid="ignore")
+
+# the names _load_arrays binds, with numpy, on first access
+_ARRAY_KERNELS = frozenset(
+    ("to_arrays", "combine_terms", "add_terms", "mul_terms", "scale_terms"))
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    # only reached while an array kernel is still unbound
+    if name in _ARRAY_KERNELS:
+        _load_arrays()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_arrays() -> None:
+    """Import numpy and bind the array kernels into this module."""
+    global np
+    import numpy as np
+
+    # turns numpy's overflow warnings off around each array kernel,
+    # entered once per call; a decorator costs half a ``with``
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    globals().update(
+        to_arrays=_to_arrays,
+        # ``mul_terms`` calls ``_combine`` inside its own ``quiet``
+        combine_terms=quiet(_combine),
+        add_terms=_add_terms,
+        mul_terms=quiet(_mul_terms),
+        scale_terms=quiet(_scale_terms),
+    )
 
 
 def pack(masks, coefs):
     """Storage form of canonical terms given as sequences or arrays:
     tuples up to ``SMALL_TERMS`` terms, read-only arrays above."""
+    listed = type(masks) is tuple or type(masks) is list
     if len(masks) <= SMALL_TERMS:
-        if type(masks) is np.ndarray:
-            masks, coefs = masks.tolist(), coefs.tolist()
-        return tuple(masks), tuple(coefs)
-    if type(masks) is not np.ndarray:
-        masks, coefs = to_arrays(masks, coefs)
+        if listed:
+            return tuple(masks), tuple(coefs)
+        return tuple(masks.tolist()), tuple(coefs.tolist())
+    if listed:
+        # through the module, so a first wide element loads the kernels
+        masks, coefs = _module.to_arrays(masks, coefs)
     masks.setflags(write=False)
     coefs.setflags(write=False)
     return masks, coefs
-
-
-def to_arrays(masks, coefs):
-    """Kernel arrays of terms held in either form (arrays are not copied)."""
-    return (np.asarray(masks, dtype=np.uint64),
-            np.asarray(coefs, dtype=np.complex128))
 
 
 def keep_terms(pairs, prune: float):
@@ -78,14 +107,6 @@ def keep_terms(pairs, prune: float):
             masks.append(m)
             coefs.append(c)
     return masks, coefs
-
-
-def keep_mask(coefs: np.ndarray, prune: float) -> np.ndarray:
-    """Where ``|coefs| > prune``; raises if a coefficient is not finite."""
-    mag = np.abs(coefs)
-    if not np.maximum.reduce(mag) < _INF:
-        raise NonFiniteResult("coefficients must be finite")
-    return mag > prune
 
 
 def dict_sum(masks, coefs, prune: float):
@@ -108,6 +129,25 @@ def dict_mul(ia, ca, ib, cb, prune: float):
     return keep_terms(sorted(acc.items()), prune)
 
 
+# -- array kernels ------------------------------------------------------------
+# they run only once _load_arrays has bound numpy as ``np`` and the public
+# names (``to_arrays`` = ``_to_arrays``, ...)
+
+
+def _to_arrays(masks, coefs):
+    """Kernel arrays of terms held in either form (arrays are not copied)."""
+    return (np.asarray(masks, dtype=np.uint64),
+            np.asarray(coefs, dtype=np.complex128))
+
+
+def keep_mask(coefs: np.ndarray, prune: float) -> np.ndarray:
+    """Where ``|coefs| > prune``; raises if a coefficient is not finite."""
+    mag = np.abs(coefs)
+    if not np.maximum.reduce(mag) < _INF:
+        raise NonFiniteResult("coefficients must be finite")
+    return mag > prune
+
+
 def _combine(masks: np.ndarray, coefs: np.ndarray, prune: float):
     """Canonicalise raw (mask, coefficient) pairs.
 
@@ -128,18 +168,13 @@ def _combine(masks: np.ndarray, coefs: np.ndarray, prune: float):
     return m[starts][keep], sums[keep]
 
 
-# ``mul_terms`` calls ``_combine`` inside its own ``_quiet``
-combine_terms = _quiet(_combine)
-
-
-def add_terms(ia, ca, ib, cb, prune: float):
+def _add_terms(ia, ca, ib, cb, prune: float):
     """Sum of two canonical term arrays, pruned like :func:`combine_terms`."""
     return combine_terms(np.concatenate([ia, ib]), np.concatenate([ca, cb]),
                          prune)
 
 
-@_quiet
-def mul_terms(ia, ca, ib, cb, prune: float):
+def _mul_terms(ia, ca, ib, cb, prune: float):
     """Blade product of two canonical term arrays.
 
     Pairs whose masks intersect annihilate; survivors land on the union
@@ -156,14 +191,8 @@ def mul_terms(ia, ca, ib, cb, prune: float):
     return _combine(masks, vals, prune)
 
 
-@_quiet
-def scale_terms(ia, ca, c: complex, prune: float):
+def _scale_terms(ia, ca, c: complex, prune: float):
     """``c`` times a canonical term array, pruned like :func:`combine_terms`."""
     coefs = ca * c
     keep = keep_mask(coefs, prune)
     return ia[keep], coefs[keep]
-
-
-def backend_name() -> str:
-    """Name of the one kernel, always ``'numpy'``, for environment records."""
-    return "numpy"

@@ -14,10 +14,11 @@ and caps ``n`` at 32.
 
 Elements are immutable.  Each :class:`Zeon` stores its nonzero terms as
 ascending masks and parallel coefficients: Python tuples when it has
-few terms, read-only numpy arrays when it has many (``_backend.pack``).
-Coefficients at or below the pruning threshold in magnitude are
-dropped, so a stored term is always a nonzero term, and non-finite
-ones, overflows included, are refused.
+few terms, read-only numpy arrays when it has many (``_backend.pack``),
+so numpy is imported with the first wide element.  Coefficients at or
+below the pruning threshold in magnitude are dropped, so a stored term
+is always a nonzero term, and non-finite ones, overflows included, are
+refused.
 """
 
 from __future__ import annotations
@@ -29,17 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import _backend
-from ._backend import (
-    add_terms,
-    combine_terms,
-    dict_mul,
-    dict_sum,
-    keep_terms,
-    mul_terms,
-    pack,
-    scale_terms,
-    to_arrays,
-)
+from ._backend import dict_mul, dict_sum, keep_terms, pack
 from .errors import DimensionMismatch, NonFiniteResult, NotInvertible
 
 __all__ = [
@@ -180,7 +171,8 @@ class Zeon:
         if len(masks) <= _backend.SMALL_TERMS:
             masks, coefs = dict_sum(masks, coefs, prune)
         else:
-            masks, coefs = combine_terms(*to_arrays(masks, coefs), prune)
+            masks, coefs = _backend.combine_terms(
+                *_backend.to_arrays(masks, coefs), prune)
         _fill(self, n, masks, coefs)
 
     def __setattr__(self, name, value):
@@ -292,9 +284,10 @@ class Zeon:
         if type(self._idx) is tuple and type(other._idx) is tuple:
             return _raw(self.n, *dict_sum(self._idx + other._idx,
                                           self._coef + other._coef, prune))
-        return _raw(self.n, *add_terms(*to_arrays(self._idx, self._coef),
-                                       *to_arrays(other._idx, other._coef),
-                                       prune))
+        to_arrays = _backend.to_arrays
+        return _raw(self.n, *_backend.add_terms(
+            *to_arrays(self._idx, self._coef),
+            *to_arrays(other._idx, other._coef), prune))
 
     def scale(self, c: complex) -> "Zeon":
         c = complex(c)
@@ -304,7 +297,8 @@ class Zeon:
         if type(self._coef) is tuple:
             return _raw(self.n, *keep_terms(
                 zip(self._idx, [x * c for x in self._coef]), prune))
-        return _raw(self.n, *scale_terms(self._idx, self._coef, c, prune))
+        return _raw(self.n, *_backend.scale_terms(self._idx, self._coef, c,
+                                                  prune))
 
     def mul(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
@@ -314,9 +308,10 @@ class Zeon:
                 and len(a) * len(b) <= _backend.SMALL_PAIRS):
             return _raw(self.n, *dict_mul(a, self._coef, b, other._coef,
                                           prune))
-        return _raw(self.n, *mul_terms(*to_arrays(self._idx, self._coef),
-                                       *to_arrays(other._idx, other._coef),
-                                       prune))
+        to_arrays = _backend.to_arrays
+        return _raw(self.n, *_backend.mul_terms(
+            *to_arrays(self._idx, self._coef),
+            *to_arrays(other._idx, other._coef), prune))
 
     def power(self, k: int) -> "Zeon":
         """``k``-th power, ``k >= 0``, by binary exponentiation."""

@@ -30,6 +30,7 @@ from typing import Callable, Iterator
 from .algebra import Tolerance, Zeon, _resolve, _taylor_sum
 from .errors import (
     DimensionMismatch,
+    NonFiniteResult,
     NotSpectrallySimple,
     OutsideDomain,
     SeedMismatch,
@@ -179,7 +180,14 @@ def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
 
 def _taylor_coeffs(ext: ZeonExtension, s: complex) -> Iterator[complex]:
     for k in range(ext.n + 1):
-        yield ext.fn.derivative(s, k) / math.factorial(k)
+        try:
+            d = ext.fn.derivative(s, k)
+        except OverflowError:
+            # cmath's report of a derivative beyond the float range
+            raise NonFiniteResult(
+                f"derivative {k} of {ext.fn.name} overflows at {s}"
+            ) from None
+        yield d / math.factorial(k)
 
 
 def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:

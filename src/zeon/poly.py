@@ -12,6 +12,10 @@ layered square root of nilpotent elements (closed form for a grade-1
 bottom layer and for odd minimum grade, a Gauss-Newton fit for bottom
 layers of grade 2 or more and, as the last resort, for all layers at
 once), and the quadratic solver with its five-way outcome.
+
+numpy is imported only where a least-squares fit runs
+(:func:`least_squares`, :func:`_complete_layers`); small elements and
+the scalar projection, a ``list[complex]``, never need it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .algebra import (
     Tolerance,
@@ -133,16 +135,16 @@ class ZeonPoly:
         tol = _resolve(tol)
         return all(c.dual_part().max_abs() <= tol.eq_eps for c in self.coeffs)
 
-    def scalar_projection(self) -> np.ndarray:
-        """Ascending complex coefficient array of scalar parts.
+    def scalar_projection(self) -> list[complex]:
+        """Scalar parts of the coefficients, ascending, as a
+        ``list[complex]``.
 
-        The zero polynomial projects to ``[0]`` so downstream numpy
-        polynomial helpers always see a nonempty array.
+        The zero polynomial projects to ``[0j]`` so the scalar
+        polynomial helpers always see a nonempty list.
         """
         if not self.coeffs:
-            return np.zeros(1, dtype=np.complex128)
-        return np.array([c.scalar_part() for c in self.coeffs],
-                        dtype=np.complex128)
+            return [0j]
+        return [c.scalar_part() for c in self.coeffs]
 
     def eval(self, u: ZeonLike) -> Zeon:
         """Horner evaluation at a zeon (or scalar) point."""
@@ -350,6 +352,8 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
              if not cands[a] & cands[b]]
     if not pairs:
         return None
+    import numpy as np
+
     rows = sorted(set(w.support_masks())
                   | {cands[a] | cands[b] for a, b in pairs})
     row_of = {mk: i for i, mk in enumerate(rows)}
@@ -458,6 +462,8 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
                     - v.mul(v).grade_part(g + grade))
         if residual.is_zero():
             continue
+        import numpy as np
+
         cands = _blades_of_grade(gen_bits, grade)
         rows = sorted(set(
             residual.support_masks()

@@ -12,19 +12,21 @@ up.
 Scalar roots come from a simultaneous Aberth iteration followed by
 cluster merging, which is what recovers multiplicities from the cloud
 of nearby approximations a multiple root produces in floating point.
+The scalar polynomials are lists of Python complexes, ascending, worked
+by three helpers (Horner value, derivative, synthetic deflation): at
+degree ``n`` of a few a numpy call costs more than the arithmetic, so
+numpy is imported only by the ``"polydiv"`` cross-check of
+:func:`_deflate`, which tests select.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import deque
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .algebra import Tolerance, Zeon, _resolve
 from .errors import (
@@ -60,101 +62,137 @@ class ScalarRoot:
     simple: bool
 
 
-def _poly_scale(c: np.ndarray) -> float:
-    return float(max(1.0, np.abs(c).max()))
+# machine epsilon: a Horner value at z is off by at most about
+# deg * _EPS * sum_k |a_k| |z|**k
+_EPS = 2.0 ** -52
 
 
-def _trim(c: np.ndarray, eps: float) -> np.ndarray:
-    c = np.asarray(c, dtype=np.complex128)
+def _horner(c: list[complex], z: complex) -> complex:
+    """Value at ``z`` of the polynomial with ascending coefficients ``c``."""
+    acc = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        acc = c[k] + acc * z
+    return acc
+
+
+def _der(c: list[complex]) -> list[complex]:
+    """Coefficients of the derivative; a constant's is ``[0j]``."""
+    return [k * c[k] for k in range(1, len(c))] or [0j]
+
+
+def _deflate(monic: list[complex], lam0: complex,
+             method: str) -> list[complex]:
+    """Quotient of the scalar polynomial by (u - lam0).
+
+    ``"synthetic"`` is the one the lift uses; ``"polydiv"``, numpy's
+    long division, is there to cross-check it and alone imports numpy.
+    """
+    if method == "synthetic":
+        deg = len(monic) - 1
+        q = [0j] * deg
+        acc = monic[deg]
+        for k in range(deg - 1, -1, -1):
+            q[k] = acc
+            acc = monic[k] + acc * lam0
+        return q
+    if method == "polydiv":
+        from numpy.polynomial import polynomial as npoly
+        q, _ = npoly.polydiv(monic, [-lam0, 1.0 + 0j])
+        return [complex(x) for x in q]
+    raise ValueError(f"unknown deflation method {method!r}")
+
+
+def _poly_scale(c: list[complex]) -> float:
+    return max(1.0, max(map(abs, c)))
+
+
+def _trim(c: Sequence[complex], eps: float) -> list[complex]:
+    c = [complex(a) for a in c]
     keep = len(c)
-    scale = float(np.abs(c).max()) if c.size else 0.0
+    scale = max(map(abs, c), default=0.0)
     while keep > 1 and abs(c[keep - 1]) <= eps * max(1.0, scale):
         keep -= 1
     return c[:keep]
 
 
-def _newton_refine(c: np.ndarray, z: complex, iters: int = 60) -> complex:
-    d = npoly.polyder(c)
+def _newton_refine(c: list[complex], z: complex, iters: int = 60) -> complex:
+    d = _der(c)
     for _ in range(iters):
-        dv = npoly.polyval(z, d)
+        dv = _horner(d, z)
         if dv == 0:
             break
-        step = npoly.polyval(z, c) / dv
+        step = _horner(c, z) / dv
         z = z - step
         if abs(step) <= 1e-16 * (1.0 + abs(z)):
             break
     return z
 
 
-def scalar_roots(coeffs: Sequence[complex] | np.ndarray,
+def scalar_roots(coeffs: Sequence[complex],
                  cluster_eps: float = 1e-7,
                  tol: Tolerance | None = None,
                  max_iter: int = 500) -> list[ScalarRoot]:
     """All roots of a complex polynomial with multiplicities.
 
-    Runs the Aberth simultaneous iteration, merges approximations that
-    fall within ``cluster_eps`` (relative to the root magnitude scale)
-    of each other, and polishes each cluster center on the derivative
-    of order multiplicity - 1, where the root is simple again.  A
-    multiple root surfaces as a cluster: its Aberth approximations
-    cannot individually do better than a radius that grows with the
-    multiplicity, but they surround the true root, and the polish step
-    then restores full accuracy.
+    ``coeffs`` is ascending (any sequence of numbers, numpy arrays
+    included).  Runs the Aberth simultaneous iteration, merges
+    approximations that fall within ``cluster_eps`` (relative to the
+    root magnitude scale) of each other, and polishes each cluster
+    center on the derivative of order multiplicity - 1, where the root
+    is simple again.  A multiple root surfaces as a cluster: its Aberth
+    approximations cannot individually do better than a radius that
+    grows with the multiplicity, but they surround the true root, and
+    the polish step then restores full accuracy.
 
     Results are sorted by (real, imaginary) part.  Raises
     :class:`RootFindingFailed` with partial results when the iteration
     has clearly not settled after ``max_iter`` rounds.
     """
     tol = _resolve(tol)
-    c = _trim(np.asarray(coeffs, dtype=np.complex128), tol.prune_eps)
+    c = _trim(coeffs, tol.prune_eps)
     deg = len(c) - 1
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    monic = c / c[-1]
+    monic = [a / c[-1] for a in c]
     if deg == 1:
-        root = complex(-monic[0])
-        return [ScalarRoot(root, 1, True)]
+        return [ScalarRoot(-monic[0], 1, True)]
 
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles) * (0.3 + 0.7 * np.linspace(0.5, 1.0, deg))
-    d = npoly.polyder(monic)
-    span = 1.0
-    recent: deque[np.ndarray] = deque(maxlen=8)
-    for it in range(max_iter):
-        pv = npoly.polyval(z, monic)
-        dv = npoly.polyval(z, d)
-        # keep the Newton correction finite at critical points
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repulse
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newton / denom
-        z = z - step
-        recent.append(np.abs(step))
-        span = 1.0 + float(np.abs(z).max())
-        if float(np.abs(step).max()) <= 1e-14 * span:
+    radius = 1.0 + max(map(abs, monic[:-1]))
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / deg + 0.4))
+         * (0.3 + 0.7 * (0.5 + 0.5 * k / (deg - 1))) for k in range(deg)]
+    d = _der(monic)
+    for _ in range(max_iter):
+        # one Jacobi sweep: every correction reads the previous round
+        steps = []
+        for zi in z:
+            dv = _horner(d, zi)
+            # keep the Newton correction finite at critical points
+            if abs(dv) < 1e-300:
+                dv = 1e-300
+            newton = _horner(monic, zi) / dv
+            # the point itself, or one that landed on it, adds nothing
+            repulse = sum(1.0 / (zi - zj) for zj in z if zj != zi)
+            denom = 1.0 - newton * repulse
+            if abs(denom) < 1e-300:
+                denom = 1e-300
+            steps.append(newton / denom)
+        z = [zi - step for zi, step in zip(z, steps)]
+        if max(map(abs, steps)) <= 1e-14 * (1.0 + max(map(abs, z))):
             break
 
-    scale = 1.0 + float(np.abs(z).max())
+    scale = 1.0 + max(map(abs, z))
     # approximations of an m-fold root stall on a circle of radius about
-    # eps**(1/m) around it, far beyond cluster_eps; each point's recent
-    # step size tracks that stall radius, so it widens the merge test
-    # exactly where the stall happens while simple roots (steps near
-    # machine epsilon) keep the tight radius.  The window minimum, not
-    # maximum: on early convergence the window still holds large
-    # approach steps, and only the settled size matters.
-    err = np.minimum.reduce(list(recent))
+    # eps**(1/m) around it, far beyond cluster_eps, where p is rounding
+    # noise; each point's noise radius widens the merge test exactly
+    # there, while at a simple root it stays near machine epsilon
+    err = [_noise_radius(monic, zi) for zi in z]
     merged = _cluster_and_polish(monic, z, cluster_eps * scale, err)
     # polished centers of one multiple root can start as separate
     # clusters; polishing pulls them together, so merge until stable
     for _ in range(deg):
         remerged = _cluster_and_polish(
             monic,
-            np.asarray([v for v, ell in merged for _ in range(ell)]),
+            [v for v, ell in merged for _ in range(ell)],
             cluster_eps * scale,
         )
         if len(remerged) == len(merged):
@@ -162,7 +200,7 @@ def scalar_roots(coeffs: Sequence[complex] | np.ndarray,
             break
         merged = remerged
     out = [
-        ScalarRoot(complex(v), ell, ell == 1)
+        ScalarRoot(v, ell, ell == 1)
         for v, ell in sorted(merged, key=lambda p: (p[0].real, p[0].imag))
     ]
     # step sizes are a poor health signal (an m-fold stall radius grows
@@ -170,7 +208,7 @@ def scalar_roots(coeffs: Sequence[complex] | np.ndarray,
     # center must actually annihilate the polynomial
     bound = tol.root_eps * _poly_scale(monic)
     for r in out:
-        if abs(npoly.polyval(r.value, monic)) > bound * max(
+        if abs(_horner(monic, r.value)) > bound * max(
                 1.0, abs(r.value)) ** deg:
             raise RootFindingFailed(
                 f"no settled root near {r.value} after {max_iter} rounds",
@@ -179,8 +217,31 @@ def scalar_roots(coeffs: Sequence[complex] | np.ndarray,
     return out
 
 
-def _cluster_and_polish(monic: np.ndarray, pts: np.ndarray, radius: float,
-                        err: np.ndarray | None = None,
+def _noise_radius(monic: list[complex], z: complex) -> float:
+    """Radius of the disc about ``z`` on which ``p`` is rounding noise.
+
+    With ``b_k`` the Taylor coefficients of ``p`` at ``z`` (the values
+    at ``z`` of the repeated quotients by ``u - z``) and ``noise`` the
+    rounding bound of evaluating ``p`` there, it is the least
+    ``(noise / |b_k|)**(1/k)``: about eps**(1/m) on the stall circle
+    of an m-fold root, and ``noise / |p'(z)|`` at a simple one.  The
+    steps the iteration took are no such measure: on the stall circle
+    ``p(z)`` often rounds to exactly 0, and the step with it.
+    """
+    noise = (len(monic) - 1) * _EPS * _horner([abs(a) for a in monic],
+                                              abs(z))
+    radius = math.inf
+    q = monic
+    for k in range(1, len(monic)):
+        q = _deflate(q, z, "synthetic")
+        b = abs(_horner(q, z))
+        if b:
+            radius = min(radius, (noise / b) ** (1.0 / k))
+    return radius
+
+
+def _cluster_and_polish(monic: list[complex], pts: list[complex],
+                        radius: float, err: list[float] | None = None,
                         ) -> list[tuple[complex, int]]:
     m = len(pts)
     parent = list(range(m))
@@ -202,14 +263,14 @@ def _cluster_and_polish(monic: np.ndarray, pts: np.ndarray, radius: float,
                     parent[ri] = rj
     groups: dict[int, list[complex]] = {}
     for i in range(m):
-        groups.setdefault(find(i), []).append(complex(pts[i]))
+        groups.setdefault(find(i), []).append(pts[i])
     out = []
     for members in groups.values():
         ell = len(members)
         center = sum(members) / ell
         target = monic
         for _ in range(ell - 1):
-            target = npoly.polyder(target)
+            target = _der(target)
         center = _newton_refine(target, center)
         out.append((center, ell))
     return out
@@ -230,22 +291,6 @@ class SpectralZero:
     grade_trace: tuple[int, ...] = ()
 
 
-def _deflate(monic: np.ndarray, lam0: complex, method: str) -> np.ndarray:
-    """Quotient of the scalar polynomial by (u - lam0)."""
-    if method == "synthetic":
-        deg = len(monic) - 1
-        q = np.zeros(deg, dtype=np.complex128)
-        acc = monic[deg]
-        for k in range(deg - 1, -1, -1):
-            q[k] = acc
-            acc = monic[k] + acc * lam0
-        return q
-    if method == "polydiv":
-        q, _ = npoly.polydiv(monic, np.asarray([-lam0, 1.0 + 0j]))
-        return np.asarray(q, dtype=np.complex128)
-    raise ValueError(f"unknown deflation method {method!r}")
-
-
 def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
                            tol: Tolerance | None = None,
                            _deflate_method: str = "synthetic") -> SpectralZero:
@@ -263,18 +308,18 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
     monic_poly = phi.monic(tol)
     f = monic_poly.scalar_projection()
     scale = _poly_scale(f)
-    lam0 = complex(_newton_refine(f, complex(lam0)))
-    if abs(npoly.polyval(lam0, f)) > tol.root_eps * scale:
+    lam0 = _newton_refine(f, complex(lam0))
+    if abs(_horner(f, lam0)) > tol.root_eps * scale:
         raise NotSpectrallySimple(
             f"seed {lam0} is not a root of the scalar projection"
         )
-    fp = npoly.polyder(f)
-    if abs(npoly.polyval(lam0, fp)) <= tol.root_eps * _poly_scale(fp):
+    fp = _der(f)
+    if abs(_horner(fp, lam0)) <= tol.root_eps * _poly_scale(fp):
         raise NotSpectrallySimple(
             f"seed {lam0} is a multiple root of the scalar projection"
         )
     g = _deflate(f, lam0, _deflate_method)
-    g0 = complex(npoly.polyval(lam0, g))
+    g0 = _horner(g, lam0)
     n = phi.n
     lam = Zeon.scalar(n, lam0)
     trace: list[int] = []
@@ -355,8 +400,11 @@ class SolveReport:
     def input_digest(self) -> str:
         """First 16 hex digits of the SHA-256 of the input's canonical text.
 
-        Computed on first read, so ``split`` does not format its input.
+        Computed on first read, so ``split`` does not format its input
+        and only ``solve`` imports ``hashlib``.
         """
+        import hashlib
+
         from .textio import format_poly
         return hashlib.sha256(format_poly(self.poly).encode()).hexdigest()[:16]
 
@@ -425,7 +473,7 @@ def split(phi: ZeonPoly, tol: Tolerance | None = None,
     )
 
 
-def classify_nilpotent_zeros(coeffs: Sequence[complex] | np.ndarray, n: int,
+def classify_nilpotent_zeros(coeffs: Sequence[complex], n: int,
                              tol: Tolerance | None = None) -> ZeroSetDescription:
     """Nilpotent zeros of a complex polynomial, read off its valuation.
 
@@ -439,11 +487,11 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex] | np.ndarray, n: int,
     tol = _resolve(tol)
     if n < 1:
         raise ValueError("need at least one generator")
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.size == 0 or not np.any(np.abs(c) > 0):
+    mags = [abs(complex(a)) for a in coeffs]
+    if not any(m > 0 for m in mags):
         raise ValueError("the zero polynomial is not classifiable")
-    scale = float(np.abs(c).max())
-    d = int(np.flatnonzero(np.abs(c) > tol.prune_eps * scale)[0])
+    scale = max(mags)
+    d = next(k for k, m in enumerate(mags) if m > tol.prune_eps * scale)
     if d <= 1:
         return ZeroSetDescription(kind=ZeroSetKind.EMPTY)
     witness = Zeon.blade(n, (1,))
@@ -462,18 +510,17 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex] | np.ndarray, n: int,
     )
 
 
-def _scalar_multiplicity(coeffs: np.ndarray, z: complex, tol: Tolerance) -> int:
+def _scalar_multiplicity(c: list[complex], z: complex, tol: Tolerance) -> int:
     """Order of ``z`` as a root of the complex polynomial (0 if not one)."""
-    c = np.asarray(coeffs, dtype=np.complex128)
     deg = len(c) - 1
     for j in range(deg + 1):
-        if abs(npoly.polyval(z, c)) > tol.root_eps * _poly_scale(c):
+        if abs(_horner(c, z)) > tol.root_eps * _poly_scale(c):
             return j
-        c = npoly.polyder(c)
+        c = _der(c)
     return deg + 1
 
 
-def is_extension_zero(coeffs: Sequence[complex] | np.ndarray, w: Zeon,
+def is_extension_zero(coeffs: Sequence[complex], w: Zeon,
                       tol: Tolerance | None = None) -> bool:
     """Membership test for the zeon zero set of a complex polynomial.
 
@@ -482,7 +529,7 @@ def is_extension_zero(coeffs: Sequence[complex] | np.ndarray, w: Zeon,
     its dual part stays within that root's multiplicity.
     """
     tol = _resolve(tol)
-    c = np.asarray(coeffs, dtype=np.complex128)
+    c = [complex(a) for a in coeffs]
     if len(c) < 1:
         raise ValueError("empty coefficient list")
     mu = _scalar_multiplicity(c, w.scalar_part(), tol)

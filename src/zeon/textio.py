@@ -19,6 +19,7 @@ polynomial text form is simply coefficient texts joined by ``;``.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .algebra import Zeon, indices_to_mask
@@ -239,8 +240,10 @@ def _terms_from_json(
             raise ValueError(f"{where}: 'index' entries must lie in 1..{n}")
         re_ = item.get("re", 0.0)
         im = item.get("im", 0.0)
+        # within the float range: no infinity, and no integer too large
+        # to become a float
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and abs(v) < float("inf") for v in (re_, im)):
+                   and abs(v) <= sys.float_info.max for v in (re_, im)):
             raise ValueError(f"{where}: 're'/'im' must be finite numbers")
         c = complex(re_, im)
         if c == 0:

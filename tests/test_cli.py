@@ -398,6 +398,21 @@ class TestErrors:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    def test_derivative_overflow_exit_2(self):
+        # cmath.exp(1000) raises OverflowError; it is a result failure
+        code, out, err = run("extend", "--fn", "exp", "--n", "1", "1000")
+        assert (code, out) == (2, "")
+        assert error_name(err) == "NonFiniteResult"
+
+    def test_integer_beyond_float_range_is_parse_error(self, tmp_path):
+        f = tmp_path / "u.json"
+        f.write_text('{"n": 1, "terms": [{"index": [], "re": 1%s, "im": 0}]}'
+                     % ("0" * 400))
+        code, out, err = run("inv", "--in", str(f))
+        assert (code, out) == (1, "")
+        assert error_name(err) == "ParseError"
+        assert "finite numbers" in json.loads(err)["message"]
+
     def test_quad_no_zeros_exit_2(self):
         code, out, err = run("quad", "--n", "2", "1", "-2", "1 + z{1}")
         assert code == 2
@@ -538,3 +553,74 @@ class TestEntryPoints:
         assert proc.stdout.splitlines() == ["1 - z{1}", "True"]
         # a plain module attribute, so that it can be wrapped or patched
         assert callable(vars(zeon.poly)["least_squares"])
+
+    def test_small_commands_leave_numpy_unimported(self):
+        # the nine subcommands on small inputs run without numpy; a
+        # product that comes out wide, and one with a wide operand, load
+        # it and still match the dense oracle
+        script = """if True:
+            import json, sys
+            from zeon.cli import main
+            commands = [
+                ["eval", "--n", "2", "1; 2; 1", "z{1}"],
+                ["inv", "--n", "2", "1 + z{1}"],
+                ["root", "--n", "2", "--k", "3", "8 + z{1} + z{1,2}"],
+                ["divide", "--n", "2", "1; 0; 1", "1; 1"],
+                ["quad", "--n", "2", "1", "0", "-1 + z{1}"],
+                ["solve", "--n", "4", %r],
+                ["classify", "--n", "2", "0; 0; 1"],
+                ["extend", "--n", "3", "--fn", "exp", "1 + z{1} + z{2,3}"],
+                ["preimage", "--n", "2", "--fn", "log", "--seed", "1",
+                 "0.5 + z{1}"],
+            ]
+            for argv in commands:
+                print("#", argv[0])
+                assert main(argv) == 0, argv
+            print("# numpy", "numpy" in sys.modules)
+            from itertools import combinations
+            from zeon import Zeon
+            blades = [ix for k in range(6)
+                      for ix in combinations(range(1, 6), k)]
+            a = Zeon(5, {(): 1, (1,): 2, (2,): -1j, (1, 2): 0.5})
+            b = Zeon(5, [(ix, k + 1) for k, ix in enumerate(blades)
+                         if set(ix) <= {3, 4, 5}])
+            w = Zeon(5, [(ix, (k + 1) * (1 - 0.5j))
+                         for k, ix in enumerate(blades[:17])])
+            print("# products")
+            for x, y in ((a, b), (w, a)):
+                print(json.dumps([[list(ix), c.real, c.imag]
+                                  for ix, c in (x * y).terms()]))
+            print("# numpy", "numpy" in sys.modules)
+        """ % QUARTIC
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        sections: dict[str, list[str]] = {}
+        for line in proc.stdout.splitlines():
+            if line.startswith("# "):
+                sections[line[2:]] = body = []
+            else:
+                body.append(line)
+        assert len(sections) == 12
+        assert json.loads(sections["quad"][0])["kind"] == "TwoDistinct"
+        assert sections["solve"] and sections["preimage"]
+        assert list(sections)[9:] == ["numpy False", "products", "numpy True"]
+        products = [json.loads(line) for line in sections["products"]]
+        # both products are wide elements (SMALL_TERMS is 16)
+        assert all(len(p) > 16 for p in products)
+
+        import numpy as np
+        from oracle import dense_from_terms, dense_mul
+        from itertools import combinations
+        blades = [ix for k in range(6)
+                  for ix in combinations(range(1, 6), k)]
+        a = dense_from_terms(5, [((), 1), ((1,), 2), ((2,), -1j),
+                                 ((1, 2), 0.5)])
+        b = dense_from_terms(5, [(ix, k + 1) for k, ix in enumerate(blades)
+                                 if set(ix) <= {3, 4, 5}])
+        w = dense_from_terms(5, [(ix, (k + 1) * (1 - 0.5j))
+                                 for k, ix in enumerate(blades[:17])])
+        for got, want in zip(products, (dense_mul(a, b), dense_mul(w, a))):
+            dense = dense_from_terms(5, [(tuple(ix), complex(re, im))
+                                         for ix, re, im in got])
+            assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()

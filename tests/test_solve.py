@@ -117,6 +117,49 @@ class TestScalarRoots:
         assert roots[0].value == pytest.approx(1.0, abs=1e-6)
 
 
+def constructed_spectrum(seed: int) -> list[tuple[complex, int]]:
+    """Roots in the square [-2, 2]**2, at least 0.5 apart, with
+    multiplicities 1-3 summing to degree 1 + seed % 12; the first root's
+    multiplicity cycles through 1, 2, 3 with the seed."""
+    rng = np.random.default_rng(seed)
+    left = 1 + seed % 12
+    spec: list[tuple[complex, int]] = []
+    while left:
+        m = 1 + seed % 3 if not spec else int(rng.choice([1, 1, 2, 3]))
+        m = min(m, left)
+        while True:
+            r = complex(*rng.uniform(-2.0, 2.0, size=2))
+            if all(abs(r - s) >= 0.5 for s, _ in spec):
+                break
+        spec.append((r, m))
+        left -= m
+    return spec
+
+
+class TestScalarRootsOracle:
+    """Polynomials built from known roots; expected values come from the
+    construction and from numpy's companion-matrix roots."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_constructed_roots(self, seed):
+        from numpy.polynomial import polynomial as npoly
+
+        spec = constructed_spectrum(seed)
+        coeffs = np.poly([r for r, m in spec for _ in range(m)])[::-1]
+        roots = scalar_roots(coeffs)
+        assert len(roots) == len(spec)
+        reference = npoly.polyroots(coeffs)
+        for r, m in spec:
+            got = min(roots, key=lambda x: abs(x.value - r))
+            assert (got.multiplicity, got.simple) == (m, m == 1)
+            assert abs(got.value - r) <= 1e-8
+            # numpy's m roots nearest an m-fold root scatter about it by
+            # about eps**(1/m); their mean is accurate to rounding
+            near = reference[np.argsort(abs(reference - got.value))[:m]]
+            assert abs(near - got.value).max() <= 10.0 ** (-8.0 / m)
+            assert abs(near.mean() - got.value) <= 1e-7
+
+
 # -- spectral lifts ---------------------------------------------------------
 
 
