@@ -24,6 +24,7 @@ refused.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -35,9 +36,8 @@ from .errors import DimensionMismatch, NonFiniteResult, NotInvertible
 
 __all__ = [
     "Tolerance",
-    "DEFAULT_TOLERANCE",
+    "tolerance",
     "default_tolerance",
-    "set_default_tolerance",
     "Zeon",
     "ZeonLike",
     "blade_mul",
@@ -63,6 +63,10 @@ class Tolerance:
         their difference is below this.
     root_eps
         Acceptance threshold for scalar root residuals.
+
+    Every threshold of a call comes from the one in force, set for a
+    block by ``with tolerance(Tolerance(...)):``.  The setting belongs
+    to the current context (PEP 567): a new thread starts at defaults.
     """
 
     prune_eps: float = 1e-14
@@ -76,29 +80,30 @@ class Tolerance:
             raise ValueError("root_eps must be positive")
 
 
-DEFAULT_TOLERANCE = Tolerance()
-_current_tol = DEFAULT_TOLERANCE
+_context = contextvars.ContextVar("zeon.tolerance", default=Tolerance())
 
 
 def default_tolerance() -> Tolerance:
-    """The process-wide tolerance used when a call omits ``tol``."""
-    return _current_tol
+    """The tolerance in force: the innermost ``with tolerance(...)``
+    block of this context, else the built-in ``Tolerance()``."""
+    return _context.get()
 
 
-def set_default_tolerance(tol: Tolerance) -> None:
-    """Replace the process-wide default tolerance.
+class tolerance:
+    """``with tolerance(value):`` runs its block under ``value``, then
+    restores the tolerance before it, on an exception too."""
 
-    Affects subsequently constructed elements (pruning) and calls that
-    do not pass ``tol`` explicitly.
-    """
-    global _current_tol
-    if not isinstance(tol, Tolerance):
-        raise TypeError("expected a Tolerance")
-    _current_tol = tol
+    def __init__(self, value: Tolerance):
+        if not isinstance(value, Tolerance):
+            raise TypeError("expected a Tolerance")
+        self.value = value
 
+    def __enter__(self) -> Tolerance:
+        self._token = _context.set(self.value)
+        return self.value
 
-def _resolve(tol: Tolerance | None) -> Tolerance:
-    return _current_tol if tol is None else tol
+    def __exit__(self, *exc) -> None:
+        _context.reset(self._token)
 
 
 def indices_to_mask(indices: Iterable[int]) -> int:
@@ -167,7 +172,7 @@ class Zeon:
             masks.append(mask)
             coefs.append(complex(c))
         # both kernels refuse a non-finite coefficient before pruning
-        prune = _current_tol.prune_eps
+        prune = _context.get().prune_eps
         if len(masks) <= _backend.SMALL_TERMS:
             masks, coefs = dict_sum(masks, coefs, prune)
         else:
@@ -189,7 +194,7 @@ class Zeon:
     def scalar(cls, n: int, c: complex) -> "Zeon":
         """The scalar ``c`` as an element of the ``n``-generator algebra."""
         return _raw(_check_n(n),
-                    *keep_terms([(0, complex(c))], _current_tol.prune_eps))
+                    *keep_terms([(0, complex(c))], _context.get().prune_eps))
 
     @classmethod
     def one(cls, n: int) -> "Zeon":
@@ -280,7 +285,7 @@ class Zeon:
 
     def add(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        prune = _current_tol.prune_eps
+        prune = _context.get().prune_eps
         if type(self._idx) is tuple and type(other._idx) is tuple:
             return _raw(self.n, *dict_sum(self._idx + other._idx,
                                           self._coef + other._coef, prune))
@@ -293,7 +298,7 @@ class Zeon:
         c = complex(c)
         if not cmath.isfinite(c):
             raise NonFiniteResult("coefficients must be finite")
-        prune = _current_tol.prune_eps
+        prune = _context.get().prune_eps
         if type(self._coef) is tuple:
             return _raw(self.n, *keep_terms(
                 zip(self._idx, [x * c for x in self._coef]), prune))
@@ -302,7 +307,7 @@ class Zeon:
 
     def mul(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        prune = _current_tol.prune_eps
+        prune = _context.get().prune_eps
         a, b = self._idx, other._idx
         if (type(a) is tuple and type(b) is tuple
                 and len(a) * len(b) <= _backend.SMALL_PAIRS):
@@ -348,27 +353,24 @@ class Zeon:
             k += 1
         return k
 
-    def inverse(self, tol: Tolerance | None = None) -> "Zeon":
+    def inverse(self) -> "Zeon":
         """Multiplicative inverse.
 
         Exists exactly when the scalar part ``c`` is nonzero; with ``d``
         the dual part it is the finite sum ``sum_k (1/c) (-d/c)**k``.
         """
-        tol = _resolve(tol)
         c = self.scalar_part()
-        if abs(c) <= tol.eq_eps:
+        if abs(c) <= _context.get().eq_eps:
             raise NotInvertible(
                 "scalar part is zero (or below eq_eps); no inverse exists"
             )
         return _taylor_sum(self.dual_part().scale(-1.0 / c),
                            itertools.repeat(1.0 / c))
 
-    def isclose(self, other: ZeonLike, tol: Tolerance | None = None,
-                *, eps: float | None = None) -> bool:
+    def isclose(self, other: ZeonLike, *, eps: float | None = None) -> bool:
         """Coefficient-wise closeness within ``eps`` (default ``eq_eps``)."""
-        tol = _resolve(tol)
         if eps is None:
-            eps = tol.eq_eps
+            eps = _context.get().eq_eps
         other = _coerce(other, self.n)
         return (self - other).max_abs() <= eps
 
@@ -489,7 +491,7 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
 # -- roots ----------------------------------------------------------------
 
 
-def principal_kth_root(w: Zeon, k: int, tol: Tolerance | None = None) -> Zeon:
+def principal_kth_root(w: Zeon, k: int) -> Zeon:
     """The k-th root whose scalar part is the principal complex root.
 
     Requires an invertible element (nonzero scalar part).  With
@@ -497,11 +499,10 @@ def principal_kth_root(w: Zeon, k: int, tol: Tolerance | None = None) -> Zeon:
     ``c``, the root is the finite Taylor sum
     ``sum_j binom(1/k, j) r / c**j * d**j``.
     """
-    tol = _resolve(tol)
     if k < 1:
         raise ValueError("root order must be a positive integer")
     c = w.scalar_part()
-    if abs(c) <= tol.eq_eps:
+    if abs(c) <= _context.get().eq_eps:
         raise NotInvertible("k-th roots require an invertible element")
     r = cmath.exp(cmath.log(c) / k)
     # binom(1/k, j) r / c**j for j = 0..n; zero from j = 2 on when k == 1
@@ -509,7 +510,7 @@ def principal_kth_root(w: Zeon, k: int, tol: Tolerance | None = None) -> Zeon:
         range(w.n), lambda a, j: a * (1.0 / k - j) / ((j + 1) * c), initial=r))
 
 
-def kth_roots(w: Zeon, k: int, tol: Tolerance | None = None) -> list[Zeon]:
+def kth_roots(w: Zeon, k: int) -> list[Zeon]:
     """All ``k`` k-th roots of an invertible element.
 
     Scalar parts run over the principal root of ``C(w)`` times the k-th
@@ -519,7 +520,7 @@ def kth_roots(w: Zeon, k: int, tol: Tolerance | None = None) -> list[Zeon]:
     branch is the principal root times its root of unity.  The k
     results are pairwise distinct because their scalar parts are.
     """
-    root = principal_kth_root(w, k, tol)
+    root = principal_kth_root(w, k)
     return [root.scale(_unit_root(j, k)) for j in range(k)]
 
 

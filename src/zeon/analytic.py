@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import Tolerance, Zeon, _resolve, _taylor_sum
+from .algebra import Tolerance, Zeon, _taylor_sum, default_tolerance
 from .errors import (
     DimensionMismatch,
     NonFiniteResult,
@@ -248,8 +248,7 @@ def _refine_scalar_preimage(ext: ZeonExtension, target: complex,
     return z
 
 
-def preimage(ext: ZeonExtension, w: Zeon, z0: complex,
-             tol: Tolerance | None = None) -> Zeon:
+def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     """An element mapped onto ``w`` by the extension, near scalar ``z0``.
 
     ``z0`` seeds the scalar preimage of ``C(w)``: it is polished by
@@ -259,7 +258,7 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex,
     preimage is then the spectrally simple zero of the polynomial form
     minus ``w`` seeded there; by construction its image is ``w``.
     """
-    tol = _resolve(tol)
+    tol = default_tolerance()
     if w.n != ext.n:
         raise DimensionMismatch(f"element has n={w.n}, extension has n={ext.n}")
     z0 = complex(z0)
@@ -274,4 +273,4 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex,
             "preimage is not simple"
         )
     psi = polynomial_form(ext, z_at) - ZeonPoly([w], n=ext.n)
-    return spectrally_simple_zero(psi, z_at, tol).zero
+    return spectrally_simple_zero(psi, z_at).zero

@@ -11,7 +11,10 @@ mathematical non-existence or domain errors.  Exit-2 failures write
 
 Tolerance precedence: ``--tol`` flag, then ``--config`` file (key=value
 lines: prune_eps, eq_eps, root_eps, cluster_eps), then the ZEON_TOL
-environment variable (eq_eps only), then built-in defaults.
+environment variable (eq_eps only), then built-in defaults.  Each
+command, a batch line too, parses its inputs and runs inside
+``with tolerance(...)`` for the tolerance it resolved, so no setting
+outlives its command.
 
 ``--batch <file>`` runs one command per line (``#`` comments and blank
 lines skipped); lines run one after another in this process, and each
@@ -30,13 +33,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Any, TextIO
 
-from .algebra import (
-    Tolerance,
-    Zeon,
-    default_tolerance,
-    kth_roots,
-    set_default_tolerance,
-)
+from .algebra import Tolerance, Zeon, default_tolerance, kth_roots, tolerance
 from .analytic import ZeonExtension, by_name, extend_eval, preimage
 from .errors import ZeonError
 from .poly import QuadraticKind, ZeonPoly, divide, quadratic_solve
@@ -232,23 +229,23 @@ def _domain_error(err: TextIO, name: str, message: str) -> int:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_eval(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_eval(ns, cluster_eps, out, err) -> int:
     poly, point = _load_inputs(ns)
     _print_zeon(poly(point), ns, out)
     return 0
 
 
-def _cmd_inv(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_inv(ns, cluster_eps, out, err) -> int:
     (u,) = _load_inputs(ns)
-    _print_zeon(u.inverse(tol), ns, out)
+    _print_zeon(u.inverse(), ns, out)
     return 0
 
 
-def _cmd_root(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_root(ns, cluster_eps, out, err) -> int:
     (u,) = _load_inputs(ns)
     if ns.k < 1:
         raise _UsageError("--k must be a positive integer")
-    roots = kth_roots(u, ns.k, tol)
+    roots = kth_roots(u, ns.k)
     if ns.json:
         print(json.dumps([zeon_to_dict(r) for r in roots]), file=out)
     else:
@@ -257,9 +254,9 @@ def _cmd_root(ns, tol, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_divide(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_divide(ns, cluster_eps, out, err) -> int:
     dividend, divisor = _load_inputs(ns)
-    result = divide(dividend, divisor, tol)
+    result = divide(dividend, divisor)
     if ns.json:
         print(json.dumps({
             "quotient": poly_to_dict(result.quotient),
@@ -271,9 +268,9 @@ def _cmd_divide(ns, tol, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_quad(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_quad(ns, cluster_eps, out, err) -> int:
     alpha, beta, gamma = _load_inputs(ns)
-    outcome = quadratic_solve(alpha, beta, gamma, tol)
+    outcome = quadratic_solve(alpha, beta, gamma)
     if outcome.kind is QuadraticKind.NO_ZEROS:
         return _domain_error(err, "NoZeros", outcome.note or
                              "the quadratic has no zeros")
@@ -289,14 +286,14 @@ def _cmd_quad(ns, tol, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_solve(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_solve(ns, cluster_eps, out, err) -> int:
     (poly,) = _load_inputs(ns)
     if ns.seed is not None:
         seed = parse_complex(ns.seed)
-        result = spectrally_simple_zero(poly, seed, tol)
+        result = spectrally_simple_zero(poly, seed)
         _print_zeon(result.zero, ns, out)
         return 0
-    report = split(poly, tol, cluster_eps=cluster_eps)
+    report = split(poly, cluster_eps=cluster_eps)
     payload = {
         "input_digest": report.input_digest,
         "scalar_spectrum": [_scalar_root_json(r)
@@ -338,35 +335,36 @@ def _family_json(family, as_json: bool) -> dict[str, Any]:
     }
 
 
-def _cmd_classify(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_classify(ns, cluster_eps, out, err) -> int:
     (poly,) = _load_inputs(ns)
     coeffs = []
+    eps = default_tolerance().eq_eps
     for k, c in enumerate(poly.coeffs):
-        if c.dual_part().max_abs() > tol.eq_eps:
+        if c.dual_part().max_abs() > eps:
             raise _UsageError(
                 f"classify expects scalar coefficients; coefficient {k} "
                 "is not scalar"
             )
         coeffs.append(c.scalar_part())
-    description = classify_nilpotent_zeros(coeffs, poly.n, tol)
+    description = classify_nilpotent_zeros(coeffs, poly.n)
     print(json.dumps(_description_json(description, ns.json)), file=out)
     return 0
 
 
-def _cmd_extend(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_extend(ns, cluster_eps, out, err) -> int:
     (u,) = _load_inputs(ns)
     ext = ZeonExtension(by_name(ns.fn), u.n)
     _print_zeon(extend_eval(ext, u), ns, out)
     return 0
 
 
-def _cmd_preimage(ns, tol, cluster_eps, out, err) -> int:
+def _cmd_preimage(ns, cluster_eps, out, err) -> int:
     (w,) = _load_inputs(ns)
     if ns.seed is None:
         raise _UsageError("preimage requires --seed")
     seed = parse_complex(ns.seed)
     ext = ZeonExtension(by_name(ns.fn), w.n)
-    _print_zeon(preimage(ext, w, seed, tol), ns, out)
+    _print_zeon(preimage(ext, w, seed), ns, out)
     return 0
 
 
@@ -411,15 +409,8 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
         return 1
     try:
         tol, cluster_eps = _resolve_tolerance(ns)
-        # elements prune against the process default, so parsing and
-        # every intermediate must see the resolved tolerance; restoring
-        # it keeps one batch line's tolerance out of the next
-        previous = default_tolerance()
-        set_default_tolerance(tol)
-        try:
-            return _COMMANDS[ns.command](ns, tol, cluster_eps, out, err)
-        finally:
-            set_default_tolerance(previous)
+        with tolerance(tol):
+            return _COMMANDS[ns.command](ns, cluster_eps, out, err)
     except _UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}),
               file=err)

@@ -31,7 +31,7 @@ from .algebra import (
     Zeon,
     ZeonLike,
     _coerce,
-    _resolve,
+    default_tolerance,
     mask_to_indices,
     principal_kth_root,
 )
@@ -130,10 +130,10 @@ class ZeonPoly:
             return self.coeffs[k]
         return Zeon.zero(self.n)
 
-    def is_scalar(self, tol: Tolerance | None = None) -> bool:
+    def is_scalar(self) -> bool:
         """True when every coefficient has a negligible dual part."""
-        tol = _resolve(tol)
-        return all(c.dual_part().max_abs() <= tol.eq_eps for c in self.coeffs)
+        eps = default_tolerance().eq_eps
+        return all(c.dual_part().max_abs() <= eps for c in self.coeffs)
 
     def scalar_projection(self) -> list[complex]:
         """Scalar parts of the coefficients, ascending, as a
@@ -166,23 +166,22 @@ class ZeonPoly:
             n=self.n,
         )
 
-    def monic(self, tol: Tolerance | None = None) -> "ZeonPoly":
+    def monic(self) -> "ZeonPoly":
         """Scale by the inverse of the leading coefficient.
 
         Raises :class:`LeadingCoefficientNotInvertible` when that
         coefficient has no inverse.
         """
-        tol = _resolve(tol)
         if self.is_zero():
             raise LeadingCoefficientNotInvertible("zero polynomial")
         lead = self.lead
-        if abs(lead.scalar_part()) <= tol.eq_eps:
+        if abs(lead.scalar_part()) <= default_tolerance().eq_eps:
             raise LeadingCoefficientNotInvertible(
                 "leading coefficient has zero scalar part"
             )
         if lead == 1:
             return self
-        inv = lead.inverse(tol)
+        inv = lead.inverse()
         return ZeonPoly([c.mul(inv) for c in self.coeffs], n=self.n)
 
     # -- arithmetic ----------------------------------------------------------
@@ -232,12 +231,10 @@ class ZeonPoly:
     def __hash__(self) -> int:
         return hash((self.n, self.coeffs))
 
-    def isclose(self, other: "ZeonPoly", tol: Tolerance | None = None,
-                *, eps: float | None = None) -> bool:
+    def isclose(self, other: "ZeonPoly", *, eps: float | None = None) -> bool:
         self._check(other)
-        tol = _resolve(tol)
         if eps is None:
-            eps = tol.eq_eps
+            eps = default_tolerance().eq_eps
         size = max(len(self.coeffs), len(other.coeffs))
         return all(
             (self.coeff(k) - other.coeff(k)).max_abs() <= eps
@@ -255,8 +252,7 @@ class DivisionResult:
     remainder: ZeonPoly
 
 
-def divide(phi: ZeonPoly, psi: ZeonPoly,
-           tol: Tolerance | None = None) -> DivisionResult:
+def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
     """Division with remainder: ``phi = psi * q + r`` with ``deg r < deg psi``.
 
     Requires the divisor's leading coefficient to be invertible, which
@@ -265,14 +261,13 @@ def divide(phi: ZeonPoly, psi: ZeonPoly,
     dropped outright rather than left to float noise.
     """
     phi._check(psi)
-    tol = _resolve(tol)
     if psi.is_zero():
         raise DivisorNotMonicizable("division by the zero polynomial")
-    if abs(psi.lead.scalar_part()) <= tol.eq_eps:
+    if abs(psi.lead.scalar_part()) <= default_tolerance().eq_eps:
         raise DivisorNotMonicizable(
             "divisor's leading coefficient has zero scalar part"
         )
-    lead_inv = psi.lead.inverse(tol)
+    lead_inv = psi.lead.inverse()
     dpsi = psi.degree
     rem = list(phi.coeffs)
     quot = [Zeon.zero(phi.n)] * max(0, len(rem) - dpsi)
@@ -291,8 +286,7 @@ def divide(phi: ZeonPoly, psi: ZeonPoly,
     )
 
 
-def remainder_at(phi: ZeonPoly, z: ZeonLike,
-                 tol: Tolerance | None = None) -> Zeon:
+def remainder_at(phi: ZeonPoly, z: ZeonLike) -> Zeon:
     """Remainder of ``phi`` on division by ``(u - z)``.
 
     Equals ``phi(z)``; the explicit division form is kept as an
@@ -300,7 +294,7 @@ def remainder_at(phi: ZeonPoly, z: ZeonLike,
     """
     point = _coerce(z, phi.n)
     linear = ZeonPoly([point.scale(-1.0), Zeon.one(phi.n)], n=phi.n)
-    rem = divide(phi, linear, tol).remainder
+    rem = divide(phi, linear).remainder
     return rem.coeff(0)
 
 
@@ -387,7 +381,7 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     return None
 
 
-def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
+def nilpotent_sqrt(w: Zeon) -> Zeon:
     """Best-effort square root of a nilpotent element.
 
     A nonzero nilpotent square always has minimum grade at least 2
@@ -407,7 +401,7 @@ def nilpotent_sqrt(w: Zeon, tol: Tolerance | None = None) -> Zeon:
     Raises :class:`SqrtNotFound` when nothing verifies; ``certified`` is
     True only for the provable grade obstruction.
     """
-    tol = _resolve(tol)
+    tol = default_tolerance()
     if abs(w.scalar_part()) > tol.eq_eps:
         raise ValueError("nilpotent_sqrt expects a nilpotent element")
     w = w.dual_part()
@@ -624,8 +618,7 @@ class QuadraticOutcome:
     note: str = ""
 
 
-def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
-                    tol: Tolerance | None = None) -> QuadraticOutcome:
+def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
     """Solve the quadratic by completing the square.
 
     With ``alpha`` invertible, zeros are exactly
@@ -637,16 +630,16 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
     case adding any multiple of the top blade to ``w`` gives another
     root and the zero set is infinite.
     """
-    tol = _resolve(tol)
     if not (alpha.n == beta.n == gamma.n):
         raise DimensionMismatch("quadratic coefficients mix algebras")
     n = alpha.n
-    if abs(alpha.scalar_part()) <= tol.eq_eps:
+    eps = default_tolerance().eq_eps
+    if abs(alpha.scalar_part()) <= eps:
         raise LeadingCoefficientNotInvertible(
             "quadratic leading coefficient has zero scalar part"
         )
     delta = discriminant(alpha, beta, gamma)
-    half_inv = alpha.inverse(tol).scale(0.5)
+    half_inv = alpha.inverse().scale(0.5)
     if delta.is_zero():
         base = half_inv.mul(beta).scale(-1.0)
         return QuadraticOutcome(
@@ -656,8 +649,8 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
             family_base=base,
             note="zeros are base + eta for every eta with eta*eta = 0",
         )
-    if abs(delta.scalar_part()) > tol.eq_eps:
-        w = principal_kth_root(delta, 2, tol)
+    if abs(delta.scalar_part()) > eps:
+        w = principal_kth_root(delta, 2)
         z1 = half_inv.mul(w - beta)
         z2 = half_inv.mul(w.scale(-1.0) - beta)
         return QuadraticOutcome(
@@ -666,7 +659,7 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
             discriminant=delta,
         )
     try:
-        w = nilpotent_sqrt(delta, tol)
+        w = nilpotent_sqrt(delta)
     except SqrtNotFound as exc:
         return QuadraticOutcome(
             kind=(QuadraticKind.NO_ZEROS if exc.certified
@@ -677,7 +670,7 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon,
         )
     z1 = half_inv.mul(w - beta)
     z2 = half_inv.mul(w.scale(-1.0) - beta)
-    zeros = (z1,) if z1.isclose(z2, tol) else (z1, z2)
+    zeros = (z1,) if z1.isclose(z2) else (z1, z2)
     return QuadraticOutcome(
         kind=QuadraticKind.NILPOTENT_DISCRIMINANT_ROOTS,
         zeros=zeros,

@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Tolerance, Zeon, _resolve
+from .algebra import Tolerance, Zeon, default_tolerance
 from .errors import (
     DimensionMismatch,
     FamilyPreconditionError,
@@ -65,6 +65,8 @@ class ScalarRoot:
 # machine epsilon: a Horner value at z is off by at most about
 # deg * _EPS * sum_k |a_k| |z|**k
 _EPS = 2.0 ** -52
+# Aberth rounds between two checks of the steps against the noise radius
+_STALL_ROUNDS = 32
 
 
 def _horner(c: list[complex], z: complex) -> complex:
@@ -106,13 +108,9 @@ def _poly_scale(c: list[complex]) -> float:
     return max(1.0, max(map(abs, c)))
 
 
-def _trim(c: Sequence[complex], eps: float) -> list[complex]:
-    c = [complex(a) for a in c]
-    keep = len(c)
-    scale = max(map(abs, c), default=0.0)
-    while keep > 1 and abs(c[keep - 1]) <= eps * max(1.0, scale):
-        keep -= 1
-    return c[:keep]
+def _ldexp(z: complex, e: int) -> complex:
+    """``z * 2**e``, exact unless it leaves the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
 def _newton_refine(c: list[complex], z: complex, iters: int = 60) -> complex:
@@ -130,12 +128,12 @@ def _newton_refine(c: list[complex], z: complex, iters: int = 60) -> complex:
 
 def scalar_roots(coeffs: Sequence[complex],
                  cluster_eps: float = 1e-7,
-                 tol: Tolerance | None = None,
                  max_iter: int = 500) -> list[ScalarRoot]:
     """All roots of a complex polynomial with multiplicities.
 
-    ``coeffs`` is ascending (any sequence of numbers, numpy arrays
-    included).  Runs the Aberth simultaneous iteration, merges
+    ``coeffs`` is ascending (any sequence of finite numbers, numpy
+    arrays included); only exactly zero top coefficients lower the
+    degree.  Runs the Aberth simultaneous iteration, merges
     approximations that fall within ``cluster_eps`` (relative to the
     root magnitude scale) of each other, and polishes each cluster
     center on the derivative of order multiplicity - 1, where the root
@@ -148,20 +146,29 @@ def scalar_roots(coeffs: Sequence[complex],
     :class:`RootFindingFailed` with partial results when the iteration
     has clearly not settled after ``max_iter`` rounds.
     """
-    tol = _resolve(tol)
-    c = _trim(coeffs, tol.prune_eps)
+    c = [complex(a) for a in coeffs]
+    if not all(map(cmath.isfinite, c)):
+        raise ValueError("coefficients must be finite")
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
     deg = len(c) - 1
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    monic = [a / c[-1] for a in c]
     if deg == 1:
-        return [ScalarRoot(-monic[0], 1, True)]
+        return [ScalarRoot(-c[0] / c[1], 1, True)]
+    # work in v = u / 2**e, 2**e the power of two nearest the bound
+    # max_k |a_k / a_n|**(1/(deg-k)) on the root moduli: the substitution
+    # is exact, and the roots in v have moduli near 1 at any input scale
+    top = math.log2(abs(c[-1]))
+    e = round(max(((math.log2(abs(a)) - top) / (deg - k)
+                   for k, a in enumerate(c[:-1]) if a), default=0.0))
+    monic = [_ldexp(a, e * (k - deg)) / c[-1] for k, a in enumerate(c)]
 
     radius = 1.0 + max(map(abs, monic[:-1]))
     z = [radius * cmath.exp(1j * (2.0 * math.pi * k / deg + 0.4))
          * (0.3 + 0.7 * (0.5 + 0.5 * k / (deg - 1))) for k in range(deg)]
     d = _der(monic)
-    for _ in range(max_iter):
+    for rounds in range(1, max_iter + 1):
         # one Jacobi sweep: every correction reads the previous round
         steps = []
         for zi in z:
@@ -178,6 +185,13 @@ def scalar_roots(coeffs: Sequence[complex],
             steps.append(newton / denom)
         z = [zi - step for zi, step in zip(z, steps)]
         if max(map(abs, steps)) <= 1e-14 * (1.0 + max(map(abs, z))):
+            break
+        # on the stall circle of a multiple root (below) the steps stay
+        # near the noise radius and the test above never fires; once it
+        # has not for a while, stop when every step is inside that radius
+        if rounds % _STALL_ROUNDS == 0 and all(
+                abs(step) <= _noise_radius(monic, zi)
+                for zi, step in zip(z, steps)):
             break
 
     scale = 1.0 + max(map(abs, z))
@@ -199,17 +213,15 @@ def scalar_roots(coeffs: Sequence[complex],
             merged = remerged
             break
         merged = remerged
-    out = [
-        ScalarRoot(v, ell, ell == 1)
-        for v, ell in sorted(merged, key=lambda p: (p[0].real, p[0].imag))
-    ]
+    merged.sort(key=lambda p: (p[0].real, p[0].imag))
+    out = [ScalarRoot(_ldexp(v, e), ell, ell == 1) for v, ell in merged]
     # step sizes are a poor health signal (an m-fold stall radius grows
     # with m), so settledness is judged where it matters: every polished
-    # center must actually annihilate the polynomial
-    bound = tol.root_eps * _poly_scale(monic)
-    for r in out:
-        if abs(_horner(monic, r.value)) > bound * max(
-                1.0, abs(r.value)) ** deg:
+    # center must be finite and actually annihilate the polynomial
+    bound = default_tolerance().root_eps * _poly_scale(monic)
+    for (v, _), r in zip(merged, out):
+        if not (cmath.isfinite(v) and abs(_horner(monic, v))
+                <= bound * max(1.0, abs(v)) ** deg):
             raise RootFindingFailed(
                 f"no settled root near {r.value} after {max_iter} rounds",
                 partial=out,
@@ -292,7 +304,6 @@ class SpectralZero:
 
 
 def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
-                           tol: Tolerance | None = None,
                            _deflate_method: str = "synthetic") -> SpectralZero:
     """Lift a simple scalar root to the unique zeon zero above it.
 
@@ -304,8 +315,8 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
     correction cancels the lowest grade without disturbing lower ones,
     so at most ``n`` passes are needed.
     """
-    tol = _resolve(tol)
-    monic_poly = phi.monic(tol)
+    tol = default_tolerance()
+    monic_poly = phi.monic()
     f = monic_poly.scalar_projection()
     scale = _poly_scale(f)
     lam0 = _newton_refine(f, complex(lam0))
@@ -326,12 +337,12 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
     iterations = 0
     prev_grade = 0
     for _ in range(n + 1):
-        rho = monic_poly.eval(lam)
-        if abs(rho.scalar_part()) > tol.eq_eps * scale:
+        value = monic_poly.eval(lam)
+        if abs(value.scalar_part()) > tol.eq_eps * scale:
             raise NotSpectrallySimple(
                 "scalar residual did not vanish at the polished seed"
             )
-        rho = rho.dual_part()
+        rho = value.dual_part()
         # grades at or below the last corrected one vanish exactly in
         # exact arithmetic, so anything surviving there is evaluation
         # dust; the absolute floor keeps higher-grade dust out too
@@ -339,6 +350,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
                            if len(ix) > prev_grade
                            and abs(c) > tol.prune_eps * scale])
         if rho.is_zero():
+            residual = value.max_abs()
             break
         m = rho.min_grade()
         trace.append(m)
@@ -346,7 +358,8 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
         lam = lam - xi
         prev_grade = m
         iterations += 1
-    residual = monic_poly.eval(lam).max_abs()
+    else:
+        residual = monic_poly.eval(lam).max_abs()
     if residual > tol.eq_eps * scale:
         raise RootFindingFailed(
             "grade-by-grade correction stalled above eq_eps",
@@ -409,8 +422,7 @@ class SolveReport:
         return hashlib.sha256(format_poly(self.poly).encode()).hexdigest()[:16]
 
 
-def split(phi: ZeonPoly, tol: Tolerance | None = None,
-          cluster_eps: float = 1e-7) -> SolveReport:
+def split(phi: ZeonPoly, cluster_eps: float = 1e-7) -> SolveReport:
     """Factor the zero hunt through the scalar spectrum.
 
     Every simple scalar root is lifted to its spectral zero.  A multiple
@@ -422,20 +434,18 @@ def split(phi: ZeonPoly, tol: Tolerance | None = None,
     rounding splits an ill-conditioned multiple root) also degrades to
     a warning, so the report is always produced.
     """
-    tol = _resolve(tol)
     if phi.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    monic_poly = phi.monic(tol)
-    f = monic_poly.scalar_projection()
-    spectrum = scalar_roots(f, cluster_eps=cluster_eps, tol=tol)
-    scalar_only = phi.is_scalar(tol)
+    f = phi.monic().scalar_projection()
+    spectrum = scalar_roots(f, cluster_eps=cluster_eps)
+    scalar_only = phi.is_scalar()
     zeros: list[SpectralZero] = []
     families: list[ZeroSetDescription] = []
     warnings: list[str] = []
     for root in spectrum:
         if root.multiplicity == 1:
             try:
-                zeros.append(spectrally_simple_zero(phi, root.value, tol))
+                zeros.append(spectrally_simple_zero(phi, root.value))
             except NotSpectrallySimple as exc:
                 # rounding can split an ill-conditioned multiple root
                 # into genuine simple roots whose derivative margin is
@@ -473,8 +483,8 @@ def split(phi: ZeonPoly, tol: Tolerance | None = None,
     )
 
 
-def classify_nilpotent_zeros(coeffs: Sequence[complex], n: int,
-                             tol: Tolerance | None = None) -> ZeroSetDescription:
+def classify_nilpotent_zeros(coeffs: Sequence[complex],
+                             n: int) -> ZeroSetDescription:
     """Nilpotent zeros of a complex polynomial, read off its valuation.
 
     Let ``d`` be the least index with a nonzero coefficient.  Writing
@@ -484,14 +494,14 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex], n: int,
     all nilpotents with nilpotency index at most ``d`` (every single
     blade qualifies).
     """
-    tol = _resolve(tol)
     if n < 1:
         raise ValueError("need at least one generator")
     mags = [abs(complex(a)) for a in coeffs]
     if not any(m > 0 for m in mags):
         raise ValueError("the zero polynomial is not classifiable")
     scale = max(mags)
-    d = next(k for k, m in enumerate(mags) if m > tol.prune_eps * scale)
+    prune = default_tolerance().prune_eps
+    d = next(k for k, m in enumerate(mags) if m > prune * scale)
     if d <= 1:
         return ZeroSetDescription(kind=ZeroSetKind.EMPTY)
     witness = Zeon.blade(n, (1,))
@@ -520,27 +530,25 @@ def _scalar_multiplicity(c: list[complex], z: complex, tol: Tolerance) -> int:
     return deg + 1
 
 
-def is_extension_zero(coeffs: Sequence[complex], w: Zeon,
-                      tol: Tolerance | None = None) -> bool:
+def is_extension_zero(coeffs: Sequence[complex], w: Zeon) -> bool:
     """Membership test for the zeon zero set of a complex polynomial.
 
     ``w`` is a zero of the coefficient-wise extension exactly when its
     scalar part is a root of the polynomial and the nilpotency index of
     its dual part stays within that root's multiplicity.
     """
-    tol = _resolve(tol)
     c = [complex(a) for a in coeffs]
     if len(c) < 1:
         raise ValueError("empty coefficient list")
-    mu = _scalar_multiplicity(c, w.scalar_part(), tol)
+    mu = _scalar_multiplicity(c, w.scalar_part(), default_tolerance())
     if mu == 0:
         return False
     kappa = w.dual_part().nilpotency_index()
     return kappa is not None and kappa <= mu
 
 
-def multiple_zero_family(phi: ZeonPoly, w1: Zeon, w2: Zeon,
-                         tol: Tolerance | None = None) -> ZeroSetDescription:
+def multiple_zero_family(phi: ZeonPoly, w1: Zeon,
+                         w2: Zeon) -> ZeroSetDescription:
     """Infinite zero family from a spectrally non-simple situation.
 
     Accepts either two distinct zeros sharing a scalar part, or the same
@@ -549,38 +557,38 @@ def multiple_zero_family(phi: ZeonPoly, w1: Zeon, w2: Zeon,
     base zero gives another zero; the constructed family is verified on
     sample members before being returned.
     """
-    tol = _resolve(tol)
+    eps = default_tolerance().eq_eps
     if phi.n != w1.n or phi.n != w2.n:
         raise DimensionMismatch("polynomial and zeros mix algebras")
     n = phi.n
     scale = max(1.0, max(c.max_abs() for c in phi.coeffs)) if phi.coeffs else 1.0
     for w in (w1, w2):
-        if phi.eval(w).max_abs() > tol.eq_eps * scale:
+        if phi.eval(w).max_abs() > eps * scale:
             raise FamilyPreconditionError(
                 "a claimed zero does not evaluate to zero"
             )
-    if abs(w1.scalar_part() - w2.scalar_part()) > tol.eq_eps:
+    if abs(w1.scalar_part() - w2.scalar_part()) > eps:
         raise FamilyPreconditionError(
             "the two zeros must share their scalar part"
         )
-    if w1.isclose(w2, tol):
+    if w1.isclose(w2):
         linear = ZeonPoly([w1.scale(-1.0), Zeon.one(n)], n=n)
-        once = divide(phi, linear, tol)
-        if once.remainder.coeffs and once.remainder.coeff(0).max_abs() > tol.eq_eps * scale:
+        once = divide(phi, linear)
+        if once.remainder.coeffs and once.remainder.coeff(0).max_abs() > eps * scale:
             raise FamilyPreconditionError("w does not divide the polynomial")
-        twice = divide(once.quotient, linear, tol)
-        if twice.remainder.coeffs and twice.remainder.coeff(0).max_abs() > tol.eq_eps * scale:
+        twice = divide(once.quotient, linear)
+        if twice.remainder.coeffs and twice.remainder.coeff(0).max_abs() > eps * scale:
             raise FamilyPreconditionError(
                 "equal zeros need multiplicity at least 2"
             )
     direction = Zeon.blade(n, tuple(range(1, n + 1)))
     for a in (1.0, -2.0, 0.5 + 1.0j):
         sample = w1 + direction.scale(a)
-        if phi.eval(sample).max_abs() > tol.eq_eps * scale * 16.0:
+        if phi.eval(sample).max_abs() > eps * scale * 16.0:
             raise FamilyPreconditionError(
                 "family verification failed on a sample member"
             )
-    zeros = (w1,) if w1.isclose(w2, tol) else (w1, w2)
+    zeros = (w1,) if w1.isclose(w2) else (w1, w2)
     return ZeroSetDescription(
         kind=ZeroSetKind.MULTIPLICITY_FAMILY,
         zeros=zeros,

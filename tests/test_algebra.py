@@ -21,7 +21,7 @@ from zeon import (
     kth_roots,
     mask_to_indices,
     principal_kth_root,
-    set_default_tolerance,
+    tolerance,
 )
 
 from conftest import random_invertible, random_zeon, to_dense
@@ -103,13 +103,9 @@ def test_scalar_prunes_at_prune_eps():
         assert u.is_zero()
         assert u == Zeon.zero(3) == Zeon(3, {(): c})
     assert Zeon.scalar(3, 2 * eps).scalar_part() == 2 * eps
-    old = default_tolerance()
-    try:
-        set_default_tolerance(Tolerance(prune_eps=1e-3, eq_eps=1e-2))
+    with tolerance(Tolerance(prune_eps=1e-3, eq_eps=1e-2)):
         assert Zeon.scalar(1, 1e-3).is_zero()
         assert not Zeon.scalar(1, 2e-3).is_zero()
-    finally:
-        set_default_tolerance(old)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, MAX_GENERATORS])
@@ -419,14 +415,97 @@ def test_tolerance_validation():
 
 
 def test_default_tolerance_swap():
-    old = default_tolerance()
-    try:
-        set_default_tolerance(Tolerance(eq_eps=1e-6))
+    with tolerance(Tolerance(eq_eps=1e-6)):
         assert default_tolerance().eq_eps == 1e-6
         with pytest.raises(NotInvertible):
             Zeon.scalar(1, 1e-7).inverse()
-    finally:
-        set_default_tolerance(old)
+
+
+COARSE = Tolerance(prune_eps=1e-3, eq_eps=1e-2)
+
+
+def test_nested_tolerance_blocks_restore_the_outer_one():
+    with tolerance(COARSE) as outer:
+        assert outer is COARSE
+        with tolerance(Tolerance(eq_eps=1e-6)):
+            assert default_tolerance().eq_eps == 1e-6
+        assert default_tolerance() is COARSE
+        with pytest.raises(NotInvertible):
+            with tolerance(Tolerance(eq_eps=1e-6)):
+                Zeon.scalar(1, 1e-7).inverse()
+        assert default_tolerance() is COARSE
+    assert default_tolerance() == Tolerance()
+
+
+def test_tolerance_refuses_a_non_tolerance():
+    with pytest.raises(TypeError):
+        tolerance(1e-6)
+
+
+def test_threads_prune_by_their_own_tolerance():
+    # both threads sit inside their blocks at once, so a setting shared
+    # between them would make one of the two prune wrongly
+    import threading
+
+    barrier = threading.Barrier(2, timeout=10)
+    kept = {}
+
+    def work(name, tol):
+        with tolerance(tol):
+            barrier.wait()
+            kept[name] = [not Zeon.scalar(1, 1e-4).is_zero()
+                          for _ in range(200)]
+            barrier.wait()
+
+    threads = [threading.Thread(target=work, args=("coarse", COARSE)),
+               threading.Thread(target=work, args=("fine", Tolerance()))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert kept == {"coarse": [False] * 200, "fine": [True] * 200}
+
+
+def test_thread_started_inside_a_block_sees_the_defaults():
+    import threading
+
+    seen = []
+    with tolerance(COARSE):
+        t = threading.Thread(target=lambda: seen.append(default_tolerance()))
+        t.start()
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert seen == [Tolerance()]
+
+
+def test_inverse_prunes_by_the_tolerance_in_force():
+    # the element is built at the defaults, so its 0.0001 z{1} is stored;
+    # the coarse block drops that term of d/c, and with it every product
+    u = Zeon(2, {(): 1, (1,): 1e-4, (2,): 1})
+    with tolerance(COARSE):
+        assert u.inverse() == Zeon(2, {(): 1, (2,): -1})
+    assert u.inverse().isclose(
+        Zeon(2, {(): 1, (1,): -1e-4, (2,): -1, (1, 2): 2e-4}), eps=1e-15)
+
+
+def test_no_public_callable_takes_a_tolerance():
+    import inspect
+
+    import zeon
+
+    assert not hasattr(zeon, "set_default_tolerance")
+    checked = []
+    for name in zeon.__all__:
+        obj = getattr(zeon, name)
+        # a class's own functions: methods, classmethods, __init__
+        members = ([getattr(m, "__func__", m) for m in vars(obj).values()]
+                   if inspect.isclass(obj) else [obj])
+        for fn in filter(inspect.isfunction, members):
+            assert "tol" not in inspect.signature(fn).parameters, fn
+            checked.append(fn)
+    # the methods that took one before are among those looked at
+    assert Zeon.inverse in checked and zeon.ZeonPoly.monic in checked
 
 
 def test_isclose_uses_eps():

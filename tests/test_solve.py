@@ -1,5 +1,7 @@
 """Zero finding: scalar spectra, spectral lifts, families, membership."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,43 @@ class TestScalarRoots:
         b = scalar_roots([4.0, -6.0, 2.0])
         assert [r.value for r in a] == pytest.approx([r.value for r in b])
 
+    @pytest.mark.parametrize("coeffs, modulus, deg", [
+        # u**25 + 1e13: an Aberth start radius of 1 + 1e13 overflows
+        # z**25, which once gave 25 nan roots flagged simple
+        ([1e13] + [0] * 24 + [1], 1e13 ** (1 / 25), 25),
+        # u**3 + 1e150 and u**2 + 1e300: the leading 1 was trimmed as
+        # small next to the constant, leaving "degree 0"
+        ([1e150, 0, 0, 1], 1e50, 3),
+        ([1e300, 0, 1], 1e150, 2),
+    ])
+    def test_extreme_constant_terms(self, coeffs, modulus, deg):
+        roots = scalar_roots(coeffs)
+        # the roots of u**deg = -c are the deg-th roots of -1 scaled
+        want = [modulus * cmath.exp(1j * cmath.pi * (2 * k + 1) / deg)
+                for k in range(deg)]
+        assert len(roots) == deg
+        assert all(r.simple for r in roots)
+        for w in want:
+            got = min(roots, key=lambda r: abs(r.value - w))
+            assert abs(got.value - w) <= 1e-12 * modulus
+
+    def test_triple_root_stops_early(self, monkeypatch):
+        # the stall circle of the triple root keeps every step above
+        # the plain stop test; all 500 rounds took 4036 evaluations
+        import zeon.solve as solve_mod
+
+        calls = []
+        horner = solve_mod._horner
+
+        def counted(c, z):
+            calls.append(z)
+            return horner(c, z)
+
+        monkeypatch.setattr(solve_mod, "_horner", counted)
+        roots = scalar_roots(np.poly([1.0, 1.0, 1.0, 2.0])[::-1])
+        assert spectrum_dict(roots) == {1.0 + 0j: 3, 2.0 + 0j: 1}
+        assert len(calls) < 1000
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             scalar_roots([1.0])
@@ -158,6 +197,19 @@ class TestScalarRootsOracle:
             near = reference[np.argsort(abs(reference - got.value))[:m]]
             assert abs(near - got.value).max() <= 10.0 ** (-8.0 / m)
             assert abs(near.mean() - got.value) <= 1e-7
+
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    @pytest.mark.parametrize("seed", [s for s in range(48) if s % 12 < 5])
+    def test_scaled_constructed_roots(self, seed, c):
+        # p(u / c) has the constructed roots times c
+        spec = constructed_spectrum(seed)
+        coeffs = np.poly([r for r, m in spec for _ in range(m)])[::-1]
+        roots = scalar_roots([a * c ** -k for k, a in enumerate(coeffs)])
+        assert len(roots) == len(spec)
+        for r, m in spec:
+            got = min(roots, key=lambda x: abs(x.value - r * c))
+            assert (got.multiplicity, got.simple) == (m, m == 1)
+            assert abs(got.value - r * c) <= 1e-8 * c
 
 
 # -- spectral lifts ---------------------------------------------------------
