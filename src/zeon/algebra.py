@@ -40,7 +40,6 @@ __all__ = [
     "default_tolerance",
     "Zeon",
     "ZeonLike",
-    "blade_mul",
     "indices_to_mask",
     "mask_to_indices",
     "generators",
@@ -63,15 +62,20 @@ class Tolerance:
         their difference is below this.
     root_eps
         Acceptance threshold for scalar root residuals.
+    cluster_eps
+        Scalar root approximations closer than this (relative to the
+        root magnitude scale) merge into one multiple root.
 
     Every threshold of a call comes from the one in force, set for a
-    block by ``with tolerance(Tolerance(...)):``.  The setting belongs
-    to the current context (PEP 567): a new thread starts at defaults.
+    block by ``with tolerance(Tolerance(...)):`` (or, on the command
+    line, by ``--config``).  The setting belongs to the current context
+    (PEP 567): a new thread starts at defaults.
     """
 
     prune_eps: float = 1e-14
     eq_eps: float = 1e-9
     root_eps: float = 1e-10
+    cluster_eps: float = 1e-7
 
     def __post_init__(self):
         if not (0.0 <= self.prune_eps <= self.eq_eps):
@@ -131,11 +135,6 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
         m >>= 1
         i += 1
     return tuple(out)
-
-
-def blade_mul(a: int, b: int) -> int | None:
-    """Product of two blade bitmasks: union if disjoint, else ``None``."""
-    return None if a & b else a | b
 
 
 def _check_n(n: int) -> int:

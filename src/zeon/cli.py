@@ -10,11 +10,11 @@ mathematical non-existence or domain errors.  Exit-2 failures write
 ``{"error": <library error name>, "message": ...}`` to stderr.
 
 Tolerance precedence: ``--tol`` flag, then ``--config`` file (key=value
-lines: prune_eps, eq_eps, root_eps, cluster_eps), then the ZEON_TOL
-environment variable (eq_eps only), then built-in defaults.  Each
-command, a batch line too, parses its inputs and runs inside
-``with tolerance(...)`` for the tolerance it resolved, so no setting
-outlives its command.
+lines, one per :class:`Tolerance` field: prune_eps, eq_eps, root_eps,
+cluster_eps), then the ZEON_TOL environment variable (eq_eps only),
+then built-in defaults.  Each command, a batch line too, parses its
+inputs and runs inside ``with tolerance(...)`` for the one
+``Tolerance`` it resolved, so no setting outlives its command.
 
 ``--batch <file>`` runs one command per line (``#`` comments and blank
 lines skipped); lines run one after another in this process, and each
@@ -24,6 +24,7 @@ line's output is emitted before the next line's.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -165,14 +166,8 @@ def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
             for t, k in zip(texts, kinds)]
 
 
-def _resolve_tolerance(ns: argparse.Namespace) -> tuple[Tolerance, float]:
-    base = Tolerance()
-    values = {
-        "prune_eps": base.prune_eps,
-        "eq_eps": base.eq_eps,
-        "root_eps": base.root_eps,
-        "cluster_eps": 1e-7,
-    }
+def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
+    values = dataclasses.asdict(Tolerance())
     env = os.environ.get("ZEON_TOL")
     if env is not None:
         try:
@@ -192,8 +187,7 @@ def _resolve_tolerance(ns: argparse.Namespace) -> tuple[Tolerance, float]:
             values[key] = float(value.strip())
     if ns.tol is not None:
         values["eq_eps"] = ns.tol
-    cluster_eps = values.pop("cluster_eps")
-    return Tolerance(**values), cluster_eps
+    return Tolerance(**values)
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -212,36 +206,33 @@ def _render_zeon(u: Zeon, as_json: bool) -> Any:
     return zeon_to_dict(u) if as_json else format_zeon(u)
 
 
-def _render_poly(p: ZeonPoly, as_json: bool) -> Any:
-    return poly_to_dict(p) if as_json else format_poly(p)
-
-
 def _print_zeon(u: Zeon, ns: argparse.Namespace, out: TextIO) -> None:
     rendered = _render_zeon(u, ns.json)
     print(json.dumps(rendered) if ns.json else rendered, file=out)
 
 
-def _domain_error(err: TextIO, name: str, message: str) -> int:
+def _fail(err: TextIO, name: str, message: str, code: int = 1) -> int:
+    """Write the one-line JSON diagnostic and return the exit code."""
     print(json.dumps({"error": name, "message": message}), file=err)
-    return 2
+    return code
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_eval(ns, cluster_eps, out, err) -> int:
+def _cmd_eval(ns, out, err) -> int:
     poly, point = _load_inputs(ns)
     _print_zeon(poly(point), ns, out)
     return 0
 
 
-def _cmd_inv(ns, cluster_eps, out, err) -> int:
+def _cmd_inv(ns, out, err) -> int:
     (u,) = _load_inputs(ns)
     _print_zeon(u.inverse(), ns, out)
     return 0
 
 
-def _cmd_root(ns, cluster_eps, out, err) -> int:
+def _cmd_root(ns, out, err) -> int:
     (u,) = _load_inputs(ns)
     if ns.k < 1:
         raise _UsageError("--k must be a positive integer")
@@ -254,7 +245,7 @@ def _cmd_root(ns, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_divide(ns, cluster_eps, out, err) -> int:
+def _cmd_divide(ns, out, err) -> int:
     dividend, divisor = _load_inputs(ns)
     result = divide(dividend, divisor)
     if ns.json:
@@ -268,12 +259,12 @@ def _cmd_divide(ns, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_quad(ns, cluster_eps, out, err) -> int:
+def _cmd_quad(ns, out, err) -> int:
     alpha, beta, gamma = _load_inputs(ns)
     outcome = quadratic_solve(alpha, beta, gamma)
     if outcome.kind is QuadraticKind.NO_ZEROS:
-        return _domain_error(err, "NoZeros", outcome.note or
-                             "the quadratic has no zeros")
+        return _fail(err, "NoZeros",
+                     outcome.note or "the quadratic has no zeros", 2)
     report = {
         "kind": outcome.kind.value,
         "zeros": [_render_zeon(z, ns.json) for z in outcome.zeros],
@@ -286,14 +277,14 @@ def _cmd_quad(ns, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_solve(ns, cluster_eps, out, err) -> int:
+def _cmd_solve(ns, out, err) -> int:
     (poly,) = _load_inputs(ns)
     if ns.seed is not None:
         seed = parse_complex(ns.seed)
         result = spectrally_simple_zero(poly, seed)
         _print_zeon(result.zero, ns, out)
         return 0
-    report = split(poly, cluster_eps=cluster_eps)
+    report = split(poly)
     payload = {
         "input_digest": report.input_digest,
         "scalar_spectrum": [_scalar_root_json(r)
@@ -335,7 +326,7 @@ def _family_json(family, as_json: bool) -> dict[str, Any]:
     }
 
 
-def _cmd_classify(ns, cluster_eps, out, err) -> int:
+def _cmd_classify(ns, out, err) -> int:
     (poly,) = _load_inputs(ns)
     coeffs = []
     eps = default_tolerance().eq_eps
@@ -351,14 +342,14 @@ def _cmd_classify(ns, cluster_eps, out, err) -> int:
     return 0
 
 
-def _cmd_extend(ns, cluster_eps, out, err) -> int:
+def _cmd_extend(ns, out, err) -> int:
     (u,) = _load_inputs(ns)
     ext = ZeonExtension(by_name(ns.fn), u.n)
     _print_zeon(extend_eval(ext, u), ns, out)
     return 0
 
 
-def _cmd_preimage(ns, cluster_eps, out, err) -> int:
+def _cmd_preimage(ns, out, err) -> int:
     (w,) = _load_inputs(ns)
     if ns.seed is None:
         raise _UsageError("preimage requires --seed")
@@ -390,46 +381,32 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:
-        print(json.dumps({"error": "UsageError", "message": str(exc)}),
-              file=err)
-        return 1
+        return _fail(err, "UsageError", str(exc))
     if ns.batch is not None:
         if in_batch:
-            print(json.dumps({"error": "UsageError",
-                              "message": "--batch cannot nest"}), file=err)
-            return 1
+            return _fail(err, "UsageError", "--batch cannot nest")
         if ns.command is not None:
-            print(json.dumps({"error": "UsageError",
-                              "message": "--batch takes no subcommand"}),
-                  file=err)
-            return 1
+            return _fail(err, "UsageError", "--batch takes no subcommand")
         return _run_batch(ns.batch, out, err)
     if ns.command is None:
         parser.print_usage(err)
         return 1
     try:
-        tol, cluster_eps = _resolve_tolerance(ns)
-        with tolerance(tol):
-            return _COMMANDS[ns.command](ns, cluster_eps, out, err)
+        with tolerance(_resolve_tolerance(ns)):
+            return _COMMANDS[ns.command](ns, out, err)
     except _UsageError as exc:
-        print(json.dumps({"error": "UsageError", "message": str(exc)}),
-              file=err)
-        return 1
+        return _fail(err, "UsageError", str(exc))
     except ZeonError as exc:
-        return _domain_error(err, type(exc).__name__, str(exc))
+        return _fail(err, type(exc).__name__, str(exc), 2)
     except (ValueError, OSError) as exc:
-        print(json.dumps({"error": "ParseError", "message": str(exc)}),
-              file=err)
-        return 1
+        return _fail(err, "ParseError", str(exc))
 
 
 def _run_batch(path: str, out: TextIO, err: TextIO) -> int:
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        print(json.dumps({"error": "ParseError", "message": str(exc)}),
-              file=err)
-        return 1
+        return _fail(err, "ParseError", str(exc))
     jobs = []
     for raw in lines:
         line = raw.strip()

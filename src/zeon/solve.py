@@ -67,6 +67,8 @@ class ScalarRoot:
 _EPS = 2.0 ** -52
 # Aberth rounds between two checks of the steps against the noise radius
 _STALL_ROUNDS = 32
+# Aberth rounds after which an unsettled iteration is given up
+_MAX_ROUNDS = 500
 
 
 def _horner(c: list[complex], z: complex) -> complex:
@@ -126,26 +128,26 @@ def _newton_refine(c: list[complex], z: complex, iters: int = 60) -> complex:
     return z
 
 
-def scalar_roots(coeffs: Sequence[complex],
-                 cluster_eps: float = 1e-7,
-                 max_iter: int = 500) -> list[ScalarRoot]:
+def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     """All roots of a complex polynomial with multiplicities.
 
     ``coeffs`` is ascending (any sequence of finite numbers, numpy
     arrays included); only exactly zero top coefficients lower the
-    degree.  Runs the Aberth simultaneous iteration, merges
-    approximations that fall within ``cluster_eps`` (relative to the
-    root magnitude scale) of each other, and polishes each cluster
-    center on the derivative of order multiplicity - 1, where the root
-    is simple again.  A multiple root surfaces as a cluster: its Aberth
-    approximations cannot individually do better than a radius that
-    grows with the multiplicity, but they surround the true root, and
-    the polish step then restores full accuracy.
+    degree.  Runs the Aberth simultaneous iteration, merges, in one
+    pass, approximations that fall within the tolerance's
+    ``cluster_eps`` (relative to the root magnitude scale) of each
+    other, and polishes each cluster center on the derivative of order
+    multiplicity - 1, where the root is simple again.  A multiple root
+    surfaces as a cluster: its Aberth approximations cannot
+    individually do better than a radius that grows with the
+    multiplicity, but they surround the true root, and the polish step
+    then restores full accuracy.
 
     Results are sorted by (real, imaginary) part.  Raises
     :class:`RootFindingFailed` with partial results when the iteration
-    has clearly not settled after ``max_iter`` rounds.
+    has clearly not settled after ``_MAX_ROUNDS`` rounds.
     """
+    tol = default_tolerance()
     c = [complex(a) for a in coeffs]
     if not all(map(cmath.isfinite, c)):
         raise ValueError("coefficients must be finite")
@@ -168,7 +170,7 @@ def scalar_roots(coeffs: Sequence[complex],
     z = [radius * cmath.exp(1j * (2.0 * math.pi * k / deg + 0.4))
          * (0.3 + 0.7 * (0.5 + 0.5 * k / (deg - 1))) for k in range(deg)]
     d = _der(monic)
-    for rounds in range(1, max_iter + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         # one Jacobi sweep: every correction reads the previous round
         steps = []
         for zi in z:
@@ -200,30 +202,18 @@ def scalar_roots(coeffs: Sequence[complex],
     # noise; each point's noise radius widens the merge test exactly
     # there, while at a simple root it stays near machine epsilon
     err = [_noise_radius(monic, zi) for zi in z]
-    merged = _cluster_and_polish(monic, z, cluster_eps * scale, err)
-    # polished centers of one multiple root can start as separate
-    # clusters; polishing pulls them together, so merge until stable
-    for _ in range(deg):
-        remerged = _cluster_and_polish(
-            monic,
-            [v for v, ell in merged for _ in range(ell)],
-            cluster_eps * scale,
-        )
-        if len(remerged) == len(merged):
-            merged = remerged
-            break
-        merged = remerged
+    merged = _cluster_and_polish(monic, z, tol.cluster_eps * scale, err)
     merged.sort(key=lambda p: (p[0].real, p[0].imag))
     out = [ScalarRoot(_ldexp(v, e), ell, ell == 1) for v, ell in merged]
     # step sizes are a poor health signal (an m-fold stall radius grows
     # with m), so settledness is judged where it matters: every polished
     # center must be finite and actually annihilate the polynomial
-    bound = default_tolerance().root_eps * _poly_scale(monic)
+    bound = tol.root_eps * _poly_scale(monic)
     for (v, _), r in zip(merged, out):
         if not (cmath.isfinite(v) and abs(_horner(monic, v))
                 <= bound * max(1.0, abs(v)) ** deg):
             raise RootFindingFailed(
-                f"no settled root near {r.value} after {max_iter} rounds",
+                f"no settled root near {r.value} after {_MAX_ROUNDS} rounds",
                 partial=out,
             )
     return out
@@ -253,7 +243,7 @@ def _noise_radius(monic: list[complex], z: complex) -> float:
 
 
 def _cluster_and_polish(monic: list[complex], pts: list[complex],
-                        radius: float, err: list[float] | None = None,
+                        radius: float, err: list[float],
                         ) -> list[tuple[complex, int]]:
     m = len(pts)
     parent = list(range(m))
@@ -266,10 +256,7 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
 
     for i in range(m):
         for j in range(i + 1, m):
-            limit = radius
-            if err is not None:
-                limit = max(limit, 8.0 * (err[i] + err[j]))
-            if abs(pts[i] - pts[j]) <= limit:
+            if abs(pts[i] - pts[j]) <= max(radius, 8.0 * (err[i] + err[j])):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -422,9 +409,11 @@ class SolveReport:
         return hashlib.sha256(format_poly(self.poly).encode()).hexdigest()[:16]
 
 
-def split(phi: ZeonPoly, cluster_eps: float = 1e-7) -> SolveReport:
+def split(phi: ZeonPoly) -> SolveReport:
     """Factor the zero hunt through the scalar spectrum.
 
+    The spectrum is :func:`scalar_roots` of the monic scalar projection,
+    so the tolerance's ``cluster_eps`` decides which roots are multiple.
     Every simple scalar root is lifted to its spectral zero.  A multiple
     scalar root of an all-scalar polynomial contributes the full
     multiplicity family (scalar root plus any nilpotent of that
@@ -437,7 +426,7 @@ def split(phi: ZeonPoly, cluster_eps: float = 1e-7) -> SolveReport:
     if phi.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     f = phi.monic().scalar_projection()
-    spectrum = scalar_roots(f, cluster_eps=cluster_eps)
+    spectrum = scalar_roots(f)
     scalar_only = phi.is_scalar()
     zeros: list[SpectralZero] = []
     families: list[ZeroSetDescription] = []
@@ -521,10 +510,15 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex],
 
 
 def _scalar_multiplicity(c: list[complex], z: complex, tol: Tolerance) -> int:
-    """Order of ``z`` as a root of the complex polynomial (0 if not one)."""
+    """Order of ``z`` as a root of the complex polynomial (0 if not one).
+
+    Each derivative's value is judged against the sum Horner adds up at
+    ``z``, so the test scales with the coefficients and with ``|z|``.
+    """
     deg = len(c) - 1
     for j in range(deg + 1):
-        if abs(_horner(c, z)) > tol.root_eps * _poly_scale(c):
+        if abs(_horner(c, z)) > tol.root_eps * _horner([abs(a) for a in c],
+                                                         abs(z)):
             return j
         c = _der(c)
     return deg + 1

@@ -508,6 +508,32 @@ def test_no_public_callable_takes_a_tolerance():
     assert Zeon.inverse in checked and zeon.ZeonPoly.monic in checked
 
 
+def test_no_public_callable_takes_a_numeric_knob():
+    # every threshold is a field of the one Tolerance in force; only
+    # Tolerance's own constructor names them
+    import dataclasses
+    import inspect
+
+    import zeon
+
+    knobs = {"tol", "cluster_eps", "max_iter"}
+    assert [f.name for f in dataclasses.fields(Tolerance)] == [
+        "prune_eps", "eq_eps", "root_eps", "cluster_eps"]
+    checked = []
+    for name in zeon.__all__:
+        obj = getattr(zeon, name)
+        if obj is Tolerance:
+            continue
+        members = ([getattr(m, "__func__", m) for m in vars(obj).values()]
+                   if inspect.isclass(obj) else [obj])
+        for fn in filter(inspect.isfunction, members):
+            assert not knobs & set(inspect.signature(fn).parameters), fn
+            checked.append(fn)
+    assert list(inspect.signature(zeon.scalar_roots).parameters) == ["coeffs"]
+    assert list(inspect.signature(zeon.split).parameters) == ["phi"]
+    assert zeon.scalar_roots in checked and zeon.split in checked
+
+
 def test_isclose_uses_eps():
     u = Zeon.scalar(1, 1.0)
     v = Zeon.scalar(1, 1.0 + 1e-12)

@@ -324,6 +324,43 @@ class TestTolerance:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    # (u - 1)(u - 1.00001): two simple roots 1e-5 apart, or one double
+    # root when cluster_eps is wider than their distance
+    NEAR_DOUBLE = "1.00001; -2.00001; 1"
+
+    def test_config_cluster_eps_applies(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("ZEON_TOL", raising=False)
+        cfg = tmp_path / "cluster.cfg"
+        cfg.write_text("cluster_eps = 1e-3\n")
+        code, out, err = run("solve", "--n", "1", "--config", str(cfg),
+                             self.NEAR_DOUBLE)
+        assert (code, err) == (0, "")
+        (root,) = json.loads(out)["scalar_spectrum"]
+        assert (root["multiplicity"], root["simple"]) == (2, False)
+        assert root["value"]["re"] == pytest.approx(1.000005, abs=1e-12)
+        code, out, _ = run("solve", "--n", "1", self.NEAR_DOUBLE)
+        assert code == 0
+        spectrum = json.loads(out)["scalar_spectrum"]
+        assert [r["multiplicity"] for r in spectrum] == [1, 1]
+
+    def test_one_tolerance_reaches_every_handler(self, monkeypatch,
+                                                 tmp_path):
+        import inspect
+
+        from zeon import Tolerance
+        from zeon.cli import _COMMANDS, _build_parser, _resolve_tolerance
+
+        monkeypatch.setenv("ZEON_TOL", "1e-8")
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("root_eps = 1e-9\ncluster_eps = 1e-4\n")
+        ns = _build_parser().parse_args(
+            ["inv", "--n", "1", "--config", str(cfg), "1"])
+        assert _resolve_tolerance(ns) == Tolerance(
+            eq_eps=1e-8, root_eps=1e-9, cluster_eps=1e-4)
+        for handler in _COMMANDS.values():
+            assert list(inspect.signature(handler).parameters) == [
+                "ns", "out", "err"]
+
 
 # -- failure modes -------------------------------------------------------------
 
@@ -440,6 +477,21 @@ class TestErrors:
         code, _, err = run("extend", "--fn", "gamma", "--n", "1", "1")
         assert code == 1
         assert error_name(err) == "ParseError"
+
+    @pytest.mark.parametrize("argv, code, name", [
+        (["inv", "--k"], 1, "UsageError"),
+        (["inv", "1"], 1, "UsageError"),
+        (["inv", "--n", "1", "1 +"], 1, "ParseError"),
+        (["inv", "--n", "1", "z{1}"], 2, "NotInvertible"),
+        (["quad", "--n", "1", "1", "0", "z{1}"], 2, "NoZeros"),
+        (["--batch", "x", "inv"], 1, "UsageError"),
+        (["--batch", "no-such-batch-file.txt"], 1, "ParseError"),
+    ])
+    def test_diagnostic_is_one_json_line(self, argv, code, name):
+        got, out, err = run(*argv)
+        message = json.loads(err)["message"]
+        assert (got, out) == (code, "")
+        assert err == json.dumps({"error": name, "message": message}) + "\n"
 
 
 # -- batch mode -----------------------------------------------------------------

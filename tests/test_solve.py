@@ -1,6 +1,7 @@
 """Zero finding: scalar spectra, spectral lifts, families, membership."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zeon import (
     LeadingCoefficientNotInvertible,
     NotSpectrallySimple,
     ScalarRoot,
+    Tolerance,
     Zeon,
     ZeonPoly,
     ZeroSetKind,
@@ -20,6 +22,7 @@ from zeon import (
     scalar_roots,
     spectrally_simple_zero,
     split,
+    tolerance,
 )
 from zeon.solve import _deflate
 
@@ -154,6 +157,38 @@ class TestScalarRoots:
         assert len(roots) == 1
         assert roots[0].multiplicity == 5
         assert roots[0].value == pytest.approx(1.0, abs=1e-6)
+
+    def test_cluster_eps_comes_from_the_tolerance_in_force(self):
+        # roots 1e-5 apart: simple at the default cluster_eps, one
+        # double root at their mean once it is 1e-3
+        c = np.poly([1.0, 1.0 + 1e-5])[::-1]
+        apart = scalar_roots(c)
+        assert [r.multiplicity for r in apart] == [1, 1]
+        assert abs(apart[0].value - 1.0) <= 1e-10
+        assert abs(apart[1].value - (1.0 + 1e-5)) <= 1e-10
+        with tolerance(Tolerance(cluster_eps=1e-3)):
+            (double,) = scalar_roots(c)
+            assert (double.multiplicity, double.simple) == (2, False)
+            assert double.value == pytest.approx(1.000005, abs=1e-12)
+            (seen,) = split(ZeonPoly.from_scalars(1, list(c))).scalar_spectrum
+            assert seen.multiplicity == 2
+            assert seen.value == pytest.approx(1.000005, abs=1e-12)
+
+    @pytest.mark.parametrize("roots", [[1.0, 2.0, 3.0], [1.0] * 4,
+                                       [1.0, 1.0 + 1e-9, -2.0]])
+    def test_approximations_merge_in_one_pass(self, monkeypatch, roots):
+        import zeon.solve as solve_mod
+
+        calls = []
+        cluster = solve_mod._cluster_and_polish
+
+        def counted(*args):
+            calls.append(args)
+            return cluster(*args)
+
+        monkeypatch.setattr(solve_mod, "_cluster_and_polish", counted)
+        scalar_roots(np.poly(roots)[::-1])
+        assert len(calls) == 1
 
 
 def constructed_spectrum(seed: int) -> list[tuple[complex, int]]:
@@ -470,6 +505,18 @@ class TestIsExtensionZero:
                 w = Zeon.scalar(3, -0.5) + w.dual_part()
             direct = phi.eval(w).max_abs() < 1e-9
             assert is_extension_zero(coeffs, w) == direct
+
+    @pytest.mark.parametrize("c", [1e-11, 1.0, 1e20])
+    def test_root_test_scales_with_the_coefficients(self, c):
+        # u**2 - 2c**2 has the simple root sqrt(2) c at every scale, and
+        # (u - c)**2 the double root c: the root test must scale with
+        # the coefficients, or small ones make every root look multiple
+        w = Zeon.scalar(1, math.sqrt(2.0) * c)
+        dual = Zeon.blade(1, (1,))
+        assert not is_extension_zero([-2.0 * c * c, 0.0, 1.0], w + dual)
+        assert is_extension_zero([-2.0 * c * c, 0.0, 1.0], w)
+        assert is_extension_zero([c * c, -2.0 * c, 1.0],
+                                 Zeon.scalar(1, c) + dual)
 
 
 # -- multiple zero families ---------------------------------------------------
