@@ -26,8 +26,9 @@ from __future__ import annotations
 import cmath
 import contextvars
 import itertools
+import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import _backend
@@ -78,10 +79,12 @@ class Tolerance:
     cluster_eps: float = 1e-7
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("every tolerance must be finite")
         if not (0.0 <= self.prune_eps <= self.eq_eps):
             raise ValueError("need 0 <= prune_eps <= eq_eps")
-        if self.root_eps <= 0.0:
-            raise ValueError("root_eps must be positive")
+        if self.root_eps <= 0.0 or self.cluster_eps < 0.0:
+            raise ValueError("need root_eps > 0 and cluster_eps >= 0")
 
 
 _context = contextvars.ContextVar("zeon.tolerance", default=Tolerance())

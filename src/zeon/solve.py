@@ -3,11 +3,10 @@
 The route to a zeon zero goes through the scalar projection: find the
 complex roots of the scalar-part polynomial, then lift each simple root
 by a short iteration that corrects one grade per step.  The iteration
-divides the scalar polynomial once by ``(u - seed)`` and reuses that
-quotient's value at the seed as a fixed Newton-like denominator, so
-each pass strips the lowest surviving grade of the residual; it
-terminates after at most ``n`` correction steps because grades only go
-up.
+works on the polynomial as given and divides each residual by one
+scalar, the derivative of the scalar projection at the seed, so each
+pass strips the lowest surviving grade of the residual; it terminates
+after at most ``n`` correction steps because grades only go up.
 
 Scalar roots come from a simultaneous Aberth iteration followed by
 cluster merging, which is what recovers multiplicities from the cloud
@@ -15,8 +14,7 @@ of nearby approximations a multiple root produces in floating point.
 The scalar polynomials are lists of Python complexes, ascending, worked
 by three helpers (Horner value, derivative, synthetic deflation): at
 degree ``n`` of a few a numpy call costs more than the arithmetic, so
-numpy is imported only by the ``"polydiv"`` cross-check of
-:func:`_deflate`, which tests select.
+this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from .algebra import Tolerance, Zeon, default_tolerance
 from .errors import (
     DimensionMismatch,
     FamilyPreconditionError,
+    LeadingCoefficientNotInvertible,
     NotSpectrallySimple,
     RootFindingFailed,
 )
@@ -84,30 +83,16 @@ def _der(c: list[complex]) -> list[complex]:
     return [k * c[k] for k in range(1, len(c))] or [0j]
 
 
-def _deflate(monic: list[complex], lam0: complex,
-             method: str) -> list[complex]:
-    """Quotient of the scalar polynomial by (u - lam0).
-
-    ``"synthetic"`` is the one the lift uses; ``"polydiv"``, numpy's
-    long division, is there to cross-check it and alone imports numpy.
-    """
-    if method == "synthetic":
-        deg = len(monic) - 1
-        q = [0j] * deg
-        acc = monic[deg]
-        for k in range(deg - 1, -1, -1):
-            q[k] = acc
-            acc = monic[k] + acc * lam0
-        return q
-    if method == "polydiv":
-        from numpy.polynomial import polynomial as npoly
-        q, _ = npoly.polydiv(monic, [-lam0, 1.0 + 0j])
-        return [complex(x) for x in q]
-    raise ValueError(f"unknown deflation method {method!r}")
-
-
-def _poly_scale(c: list[complex]) -> float:
-    return max(1.0, max(map(abs, c)))
+def _deflate(c: list[complex], lam0: complex) -> list[complex]:
+    """Quotient of the scalar polynomial by (u - lam0), by synthetic
+    division."""
+    deg = len(c) - 1
+    q = [0j] * deg
+    acc = c[deg]
+    for k in range(deg - 1, -1, -1):
+        q[k] = acc
+        acc = c[k] + acc * lam0
+    return q
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -208,7 +193,7 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     # step sizes are a poor health signal (an m-fold stall radius grows
     # with m), so settledness is judged where it matters: every polished
     # center must be finite and actually annihilate the polynomial
-    bound = tol.root_eps * _poly_scale(monic)
+    bound = tol.root_eps * max(map(abs, monic))
     for (v, _), r in zip(merged, out):
         if not (cmath.isfinite(v) and abs(_horner(monic, v))
                 <= bound * max(1.0, abs(v)) ** deg):
@@ -235,7 +220,7 @@ def _noise_radius(monic: list[complex], z: complex) -> float:
     radius = math.inf
     q = monic
     for k in range(1, len(monic)):
-        q = _deflate(q, z, "synthetic")
+        q = _deflate(q, z)
         b = abs(_horner(q, z))
         if b:
             radius = min(radius, (noise / b) ** (1.0 / k))
@@ -290,41 +275,50 @@ class SpectralZero:
     grade_trace: tuple[int, ...] = ()
 
 
-def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
-                           _deflate_method: str = "synthetic") -> SpectralZero:
+def _lead_checked_projection(phi: ZeonPoly, tol: Tolerance) -> list[complex]:
+    """Scalar projection of ``phi``, raising as :meth:`ZeonPoly.monic`
+    does when the lead is not invertible, but forming no inverse."""
+    f = phi.scalar_projection()
+    if abs(f[-1]) <= tol.eq_eps:
+        raise LeadingCoefficientNotInvertible(
+            "zero polynomial" if phi.is_zero()
+            else "leading coefficient has zero scalar part")
+    return f
+
+
+def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     """Lift a simple scalar root to the unique zeon zero above it.
 
-    ``lam0`` must be a simple root of the scalar projection of ``phi``
-    (it is polished by a few Newton steps first, so a seed accurate to a
-    few digits suffices).  Each pass evaluates the polynomial at the
-    current point, takes the lowest-grade part of the residual, and
-    divides by the deflated scalar polynomial's value at the seed; that
-    correction cancels the lowest grade without disturbing lower ones,
-    so at most ``n`` passes are needed.
+    ``phi`` needs an invertible lead, and ``lam0`` must be a simple
+    root of its scalar projection ``f`` (it is polished by a few Newton
+    steps first, so a seed accurate to a few digits suffices).  Each
+    pass evaluates ``phi`` itself at the current point, takes the
+    lowest-grade part of the residual, and divides it by the scalar
+    ``f'(lam0)``; that correction cancels the lowest grade without
+    disturbing lower ones, so at most ``n`` passes are needed.
+    Thresholds scale with ``max |f_k|``.
     """
     tol = default_tolerance()
-    monic_poly = phi.monic()
-    f = monic_poly.scalar_projection()
-    scale = _poly_scale(f)
+    f = _lead_checked_projection(phi, tol)
+    scale = max(map(abs, f))
     lam0 = _newton_refine(f, complex(lam0))
     if abs(_horner(f, lam0)) > tol.root_eps * scale:
         raise NotSpectrallySimple(
             f"seed {lam0} is not a root of the scalar projection"
         )
     fp = _der(f)
-    if abs(_horner(fp, lam0)) <= tol.root_eps * _poly_scale(fp):
+    g0 = _horner(fp, lam0)
+    if abs(g0) <= tol.root_eps * max(abs(f[-1]), max(map(abs, fp))):
         raise NotSpectrallySimple(
             f"seed {lam0} is a multiple root of the scalar projection"
         )
-    g = _deflate(f, lam0, _deflate_method)
-    g0 = _horner(g, lam0)
     n = phi.n
     lam = Zeon.scalar(n, lam0)
     trace: list[int] = []
     iterations = 0
     prev_grade = 0
     for _ in range(n + 1):
-        value = monic_poly.eval(lam)
+        value = phi.eval(lam)
         if abs(value.scalar_part()) > tol.eq_eps * scale:
             raise NotSpectrallySimple(
                 "scalar residual did not vanish at the polished seed"
@@ -346,7 +340,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex,
         prev_grade = m
         iterations += 1
     else:
-        residual = monic_poly.eval(lam).max_abs()
+        residual = phi.eval(lam).max_abs()
     if residual > tol.eq_eps * scale:
         raise RootFindingFailed(
             "grade-by-grade correction stalled above eq_eps",
@@ -412,21 +406,21 @@ class SolveReport:
 def split(phi: ZeonPoly) -> SolveReport:
     """Factor the zero hunt through the scalar spectrum.
 
-    The spectrum is :func:`scalar_roots` of the monic scalar projection,
-    so the tolerance's ``cluster_eps`` decides which roots are multiple.
+    The leading coefficient must be invertible.  The spectrum is
+    :func:`scalar_roots` of the scalar projection, so the tolerance's ``cluster_eps`` decides which roots are multiple.
     Every simple scalar root is lifted to its spectral zero.  A multiple
     scalar root of an all-scalar polynomial contributes the full
     multiplicity family (scalar root plus any nilpotent of that
     nilpotency bound); with genuinely zeon coefficients no lift is
     attempted there and a warning is recorded instead.  A reported
-    simple root whose lift fails its simplicity margin (possible when
-    rounding splits an ill-conditioned multiple root) also degrades to
-    a warning, so the report is always produced.
+    simple root whose lift fails its simplicity margin or stalls above
+    ``eq_eps`` (possible when rounding splits an ill-conditioned
+    multiple root) also degrades to a warning, so once the spectrum is
+    found the report is always produced.
     """
     if phi.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    f = phi.monic().scalar_projection()
-    spectrum = scalar_roots(f)
+    spectrum = scalar_roots(_lead_checked_projection(phi, default_tolerance()))
     scalar_only = phi.is_scalar()
     zeros: list[SpectralZero] = []
     families: list[ZeroSetDescription] = []
@@ -435,10 +429,11 @@ def split(phi: ZeonPoly) -> SolveReport:
         if root.multiplicity == 1:
             try:
                 zeros.append(spectrally_simple_zero(phi, root.value))
-            except NotSpectrallySimple as exc:
+            except (NotSpectrallySimple, RootFindingFailed) as exc:
                 # rounding can split an ill-conditioned multiple root
                 # into genuine simple roots whose derivative margin is
-                # too thin to lift; report it instead of dying mid-split
+                # too thin to lift, or whose lift stalls; report it
+                # instead of dying mid-split
                 warnings.append(
                     f"scalar root {root.value} resisted lifting: {exc}"
                 )

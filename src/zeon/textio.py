@@ -22,7 +22,7 @@ import json
 import sys
 from typing import Any
 
-from .algebra import Zeon, indices_to_mask
+from .algebra import MAX_GENERATORS, Zeon, indices_to_mask
 from .poly import ZeonPoly
 
 __all__ = [
@@ -262,8 +262,9 @@ def _check_n(obj: Any, where: str) -> int:
     if "n" not in obj:
         raise ValueError(f"{where}: missing 'n'")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= 32:
-        raise ValueError(f"{where}: 'n' must be an integer in 0..32")
+    if type(n) is not int or not 0 <= n <= MAX_GENERATORS:
+        raise ValueError(
+            f"{where}: 'n' must be an integer in 0..{MAX_GENERATORS}")
     return n
 
 

@@ -5,6 +5,7 @@ brute-force expansion in oracle.py and pasted in as literals.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -407,11 +408,34 @@ def test_kth_roots_deterministic_and_distinct(rng):
 # -- tolerances ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fields", [
+    {"prune_eps": math.nan},
+    {"eq_eps": math.inf},
+    {"eq_eps": math.nan},
+    {"root_eps": 0.0},
+    {"root_eps": -1e-10},
+    {"root_eps": math.nan},
+    {"root_eps": math.inf},
+    {"cluster_eps": -1.0},
+    {"cluster_eps": math.nan},
+    {"cluster_eps": math.inf},
+])
+def test_tolerance_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        Tolerance(**fields)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(prune_eps=-1.0)
     with pytest.raises(ValueError):
         Tolerance(prune_eps=1e-6, eq_eps=1e-9)
+
+
+def test_tolerance_edges_accepted():
+    # both ends of prune_eps's range and a zero cluster_eps are settings
+    assert Tolerance(prune_eps=0.0, cluster_eps=0.0).prune_eps == 0.0
+    assert Tolerance(prune_eps=1e-9, eq_eps=1e-9).eq_eps == 1e-9
 
 
 def test_default_tolerance_swap():
@@ -527,11 +551,17 @@ def test_no_public_callable_takes_a_numeric_knob():
         members = ([getattr(m, "__func__", m) for m in vars(obj).values()]
                    if inspect.isclass(obj) else [obj])
         for fn in filter(inspect.isfunction, members):
-            assert not knobs & set(inspect.signature(fn).parameters), fn
+            params = inspect.signature(fn).parameters
+            assert not knobs & set(params), fn
+            # nor a hidden one: a leading underscore marks a knob too
+            assert not [p for p in params if p.startswith("_")], fn
             checked.append(fn)
     assert list(inspect.signature(zeon.scalar_roots).parameters) == ["coeffs"]
     assert list(inspect.signature(zeon.split).parameters) == ["phi"]
+    assert list(inspect.signature(zeon.spectrally_simple_zero).parameters
+                ) == ["phi", "lam0"]
     assert zeon.scalar_roots in checked and zeon.split in checked
+    assert zeon.spectrally_simple_zero in checked
 
 
 def test_isclose_uses_eps():

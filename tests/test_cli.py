@@ -91,6 +91,21 @@ class TestCommands:
         assert len(report["warnings"]) == 1
         assert report["input_digest"]
 
+    # (u - (1 + z{1} + z{3})) (u - (1.000001 + z{2} + z{1,2,3})): the lift
+    # above the root near 1.000001 stalls, which the report carries as
+    # a warning while the other root is lifted
+    STALLING = ("1.000001 + 1.000001*z{1} + z{2} + z{1,2} + 1.000001*z{3} "
+                "+ z{2,3} + z{1,2,3}; -2.000001 - z{1} - z{2} - z{3} "
+                "- z{1,2,3}; 1")
+
+    def test_solve_stalled_lift_is_a_warning(self):
+        code, out, err = run("solve", "--n", "3", self.STALLING)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert len(report["spectral_zeros"]) == 1
+        (warning,) = report["warnings"]
+        assert "stalled" in warning
+
     def test_classify(self):
         code, out, _ = run("classify", "--n", "3", "0; 0; 1")
         assert code == 0
@@ -342,6 +357,17 @@ class TestTolerance:
         assert code == 0
         spectrum = json.loads(out)["scalar_spectrum"]
         assert [r["multiplicity"] for r in spectrum] == [1, 1]
+
+    def test_config_nan_cluster_eps_rejected(self, monkeypatch, tmp_path):
+        # a nan cluster_eps would merge no approximations and report
+        # (u-1)**2 as two simple roots
+        monkeypatch.delenv("ZEON_TOL", raising=False)
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("cluster_eps = nan\n")
+        code, out, err = run("solve", "--n", "1", "--config", str(cfg),
+                             "1; -2; 1")
+        assert (code, out) == (1, "")
+        assert error_name(err) == "ParseError"
 
     def test_one_tolerance_reaches_every_handler(self, monkeypatch,
                                                  tmp_path):

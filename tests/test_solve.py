@@ -26,7 +26,7 @@ from zeon import (
 )
 from zeon.solve import _deflate
 
-from conftest import random_zeon
+from conftest import random_nilpotent, random_zeon
 
 Z1 = Zeon.blade(2, (1,))
 Z2 = Zeon.blade(2, (2,))
@@ -317,16 +317,38 @@ class TestSpectrallySimpleZero:
             spectrally_simple_zero(phi, 1.0)
 
     def test_deflation_methods_agree(self, rng):
-        c = rng.normal(size=5) + 1j * rng.normal(size=5)
-        monic = np.asarray(c / c[-1], dtype=np.complex128)
-        lam0 = 0.7 - 0.2j
-        a = _deflate(monic, lam0, "synthetic")
-        b = _deflate(monic, lam0, "polydiv")
-        assert np.allclose(a, b, atol=1e-12)
+        from numpy.polynomial import polynomial as npoly
 
-    def test_unknown_deflation_method(self):
-        with pytest.raises(ValueError):
-            _deflate(np.asarray([1.0 + 0j, 1.0]), 0.0, "cheating")
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        monic = [complex(x) for x in c / c[-1]]
+        lam0 = 0.7 - 0.2j
+        expected, _ = npoly.polydiv(monic, [-lam0, 1.0 + 0j])
+        assert np.allclose(_deflate(monic, lam0), expected, atol=1e-12)
+
+    def test_lift_forms_no_inverse(self, rng, monkeypatch):
+        # from_roots(...) * c has a lead with a nonzero dual part, so a
+        # monic form would need c's inverse; the lift works on phi as
+        # given, and its zeros are still the constructed roots
+        n = 3
+        c = Zeon(n, {(): 2.0 - 0.5j, (1,): 0.7, (2, 3): -1.3})
+        roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
+                 for s in (-1.0, 0.5 + 1.0j, 2.0)]
+        phi = ZeonPoly.from_roots(n, roots) * c
+        assert not phi.lead.dual_part().is_zero()
+
+        def no_inverse(self):
+            raise AssertionError("the lift formed an inverse")
+
+        monkeypatch.setattr(Zeon, "inverse", no_inverse)
+        for r in roots:
+            lifted = spectrally_simple_zero(phi, r.scalar_part()).zero
+            assert (lifted - r).max_abs() <= 1e-9
+        report = split(phi)
+        assert report.warnings == ()
+        assert len(report.spectral_zeros) == 3
+        for r in roots:
+            assert min((z.zero - r).max_abs()
+                       for z in report.spectral_zeros) <= 1e-9
 
 
 # -- split ------------------------------------------------------------------
@@ -411,6 +433,19 @@ class TestSplit:
         report = split(ZeonPoly.from_roots(2, roots))
         assert report.warnings
         assert sum(r.multiplicity for r in report.scalar_spectrum) == 4
+
+    def test_stalled_lift_degrades_to_warning(self):
+        # scalar parts 1e-6 apart: the lift above the reported root near
+        # 1.000001 divides by a derivative of about 1e-6 and stalls above
+        # eq_eps; the report lifts the other root and warns on this one
+        phi = ZeonPoly.from_roots(3, [
+            Zeon(3, {(): 1, (1,): 1, (3,): 1}),
+            Zeon(3, {(): 1.000001, (2,): 1, (1, 2, 3): 1})])
+        report = split(phi)
+        assert len(report.spectral_zeros) == 1
+        assert abs(report.spectral_zeros[0].zero.scalar_part() - 1) < 1e-9
+        (warning,) = report.warnings
+        assert "stalled" in warning
 
 
 # -- nilpotent zero classification ------------------------------------------
