@@ -28,7 +28,6 @@ import contextvars
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import _backend
@@ -51,7 +50,6 @@ __all__ = [
 MAX_GENERATORS = 32
 
 
-@dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds used across the package.
 
@@ -73,18 +71,45 @@ class Tolerance:
     (PEP 567): a new thread starts at defaults.
     """
 
-    prune_eps: float = 1e-14
-    eq_eps: float = 1e-9
-    root_eps: float = 1e-10
-    cluster_eps: float = 1e-7
+    __slots__ = ("prune_eps", "eq_eps", "root_eps", "cluster_eps")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
+    def __init__(self, prune_eps: float = 1e-14, eq_eps: float = 1e-9,
+                 root_eps: float = 1e-10, cluster_eps: float = 1e-7):
+        values = (prune_eps, eq_eps, root_eps, cluster_eps)
+        if not all(map(math.isfinite, values)):
             raise ValueError("every tolerance must be finite")
-        if not (0.0 <= self.prune_eps <= self.eq_eps):
+        if not (0.0 <= prune_eps <= eq_eps):
             raise ValueError("need 0 <= prune_eps <= eq_eps")
-        if self.root_eps <= 0.0 or self.cluster_eps < 0.0:
+        if root_eps <= 0.0 or cluster_eps < 0.0:
             raise ValueError("need root_eps > 0 and cluster_eps >= 0")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tolerance is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Tolerance is immutable")
+
+    def _values(self) -> tuple[float, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Tolerance:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Tolerance({fields})"
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, so they validate
+        return Tolerance, self._values()
 
 
 _context = contextvars.ContextVar("zeon.tolerance", default=Tolerance())

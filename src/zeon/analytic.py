@@ -24,8 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections import namedtuple
+from typing import Iterator
 
 from .algebra import Tolerance, Zeon, _taylor_sum, default_tolerance
 from .errors import (
@@ -36,7 +36,6 @@ from .errors import (
     SeedMismatch,
 )
 from .poly import ZeonPoly
-from .solve import spectrally_simple_zero
 
 __all__ = [
     "AnalyticFunction",
@@ -54,17 +53,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnalyticFunction:
+class AnalyticFunction(namedtuple(
+        "AnalyticFunction", "name derivative in_domain")):
     """An analytic function given by its derivative sequence.
 
     ``derivative(z, k)`` returns the k-th derivative at ``z`` (k = 0 is
-    the function itself); ``in_domain`` guards scalar arguments.
+    the function itself); ``in_domain(z)`` guards scalar arguments.
     """
 
-    name: str
-    derivative: Callable[[complex, int], complex]
-    in_domain: Callable[[complex], bool]
+    __slots__ = ()
 
 
 def _off_cut(z: complex) -> bool:
@@ -150,12 +147,11 @@ def by_name(name: str) -> AnalyticFunction:
     raise ValueError(f"unknown analytic function {name!r}")
 
 
-@dataclass(frozen=True)
-class ZeonExtension:
-    """An analytic function extended to the ``n``-generator algebra."""
+class ZeonExtension(namedtuple("ZeonExtension", "fn n")):
+    """An analytic function ``fn`` extended to the ``n``-generator
+    algebra."""
 
-    fn: AnalyticFunction
-    n: int
+    __slots__ = ()
 
     def eval(self, u: Zeon) -> Zeon:
         return extend_eval(self, u)
@@ -258,6 +254,9 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     preimage is then the spectrally simple zero of the polynomial form
     minus ``w`` seeded there; by construction its image is ``w``.
     """
+    # the zero finder loads here, so extend_eval alone never imports it
+    from .solve import spectrally_simple_zero
+
     tol = default_tolerance()
     if w.n != ext.n:
         raise DimensionMismatch(f"element has n={w.n}, extension has n={ext.n}")

@@ -19,12 +19,15 @@ inputs and runs inside ``with tolerance(...)`` for the one
 ``--batch <file>`` runs one command per line (``#`` comments and blank
 lines skipped); lines run one after another in this process, and each
 line's output is emitted before the next line's.
+
+A command imports the zero finder (``solve``) or the analytic
+extensions (``analytic``) only when it runs them, so ``inv`` and the
+other element and polynomial commands start without either.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -35,10 +38,8 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from .algebra import Tolerance, Zeon, default_tolerance, kth_roots, tolerance
-from .analytic import ZeonExtension, by_name, extend_eval, preimage
 from .errors import ZeonError
 from .poly import QuadraticKind, ZeonPoly, divide, quadratic_solve
-from .solve import classify_nilpotent_zeros, spectrally_simple_zero, split
 from .textio import (
     format_poly,
     format_zeon,
@@ -167,7 +168,8 @@ def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
 
 
 def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
-    values = dataclasses.asdict(Tolerance())
+    defaults = Tolerance()
+    values = {key: getattr(defaults, key) for key in Tolerance.__slots__}
     env = os.environ.get("ZEON_TOL")
     if env is not None:
         try:
@@ -182,9 +184,13 @@ def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()
+            bad = ValueError(f"{ns.config}:{lineno}: bad entry {raw!r}")
             if not sep or key not in values:
-                raise ValueError(f"{ns.config}:{lineno}: bad entry {raw!r}")
-            values[key] = float(value.strip())
+                raise bad
+            try:
+                values[key] = float(value.strip())
+            except ValueError:
+                raise bad from None
     if ns.tol is not None:
         values["eq_eps"] = ns.tol
     return Tolerance(**values)
@@ -278,6 +284,8 @@ def _cmd_quad(ns, out, err) -> int:
 
 
 def _cmd_solve(ns, out, err) -> int:
+    from .solve import spectrally_simple_zero, split
+
     (poly,) = _load_inputs(ns)
     if ns.seed is not None:
         seed = parse_complex(ns.seed)
@@ -327,6 +335,8 @@ def _family_json(family, as_json: bool) -> dict[str, Any]:
 
 
 def _cmd_classify(ns, out, err) -> int:
+    from .solve import classify_nilpotent_zeros
+
     (poly,) = _load_inputs(ns)
     coeffs = []
     eps = default_tolerance().eq_eps
@@ -343,6 +353,8 @@ def _cmd_classify(ns, out, err) -> int:
 
 
 def _cmd_extend(ns, out, err) -> int:
+    from .analytic import ZeonExtension, by_name, extend_eval
+
     (u,) = _load_inputs(ns)
     ext = ZeonExtension(by_name(ns.fn), u.n)
     _print_zeon(extend_eval(ext, u), ns, out)
@@ -350,6 +362,8 @@ def _cmd_extend(ns, out, err) -> int:
 
 
 def _cmd_preimage(ns, out, err) -> int:
+    from .analytic import ZeonExtension, by_name, preimage
+
     (w,) = _load_inputs(ns)
     if ns.seed is None:
         raise _UsageError("preimage requires --seed")
@@ -405,13 +419,16 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
 def _run_batch(path: str, out: TextIO, err: TextIO) -> int:
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(err, "ParseError", str(exc))
     jobs = []
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            jobs.append(shlex.split(line))
+            try:
+                jobs.append(shlex.split(line))
+            except ValueError as exc:
+                return _fail(err, "ParseError", f"{path}:{lineno}: {exc}")
     code = 0
     for args in jobs:
         buf_out, buf_err = StringIO(), StringIO()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -246,10 +246,10 @@ class ZeonPoly:
         return f"<ZeonPoly n={self.n} deg={self.degree}: {format_poly(self)}>"
 
 
-@dataclass(frozen=True)
-class DivisionResult:
-    quotient: ZeonPoly
-    remainder: ZeonPoly
+class DivisionResult(namedtuple("DivisionResult", "quotient remainder")):
+    """The quotient and remainder polynomials of :func:`divide`."""
+
+    __slots__ = ()
 
 
 def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
@@ -600,22 +600,21 @@ class QuadraticKind(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class QuadraticOutcome:
+class QuadraticOutcome(namedtuple(
+        "QuadraticOutcome", "kind zeros discriminant family_base note",
+        defaults=(None, ""))):
     """Zero set of ``alpha u**2 + beta u + gamma`` as far as determined.
 
-    ``zeros`` lists verified representative zeros.  For the family
-    kinds, ``family_base`` is a base point: NullSquareFamily means
-    ``base + eta`` is a zero exactly for null-square nilpotents ``eta``;
-    NilpotentDiscriminantRoots means the listed zeros extend to the
-    infinite families obtained by adding multiples of the top blade.
+    ``kind`` is a :class:`QuadraticKind`, ``zeros`` a tuple of verified
+    representative zeros, ``discriminant`` an element and ``note``
+    text.  For the family kinds, ``family_base`` is a base point (else
+    None): NullSquareFamily means ``base + eta`` is a zero exactly for
+    null-square nilpotents ``eta``; NilpotentDiscriminantRoots means the
+    listed zeros extend to the infinite families obtained by adding
+    multiples of the top blade.
     """
 
-    kind: QuadraticKind
-    zeros: tuple[Zeon, ...]
-    discriminant: Zeon
-    family_base: Zeon | None = None
-    note: str = ""
+    __slots__ = ()
 
 
 def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 from .algebra import Tolerance, Zeon, default_tolerance
@@ -52,13 +51,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarRoot:
-    """A complex root of the scalar projection."""
+class ScalarRoot(namedtuple("ScalarRoot", "value multiplicity simple")):
+    """A complex root of the scalar projection: its ``value``, its
+    ``multiplicity`` and whether it is ``simple``."""
 
-    value: complex
-    multiplicity: int
-    simple: bool
+    __slots__ = ()
 
 
 # machine epsilon: a Horner value at z is off by at most about
@@ -260,19 +257,19 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
     return out
 
 
-@dataclass(frozen=True)
-class SpectralZero:
+class SpectralZero(namedtuple(
+        "SpectralZero", "zero seed iterations residual grade_trace",
+        defaults=((),))):
     """A zeon zero lifted from a simple scalar root.
 
-    ``grade_trace`` records the minimum grade of the residual before
-    each correction step; it is strictly increasing on a healthy run.
+    ``seed`` is that :class:`ScalarRoot`, ``iterations`` the correction
+    steps taken and ``residual`` the largest coefficient magnitude of
+    the value at ``zero``.  ``grade_trace`` records the minimum grade of
+    the residual before each correction step; it is strictly increasing
+    on a healthy run.
     """
 
-    zero: Zeon
-    seed: ScalarRoot
-    iterations: int
-    residual: float
-    grade_trace: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def _lead_checked_projection(phi: ZeonPoly, tol: Tolerance) -> list[complex]:
@@ -362,39 +359,38 @@ class ZeroSetKind(str, Enum):
     NILPOTENT_FAMILY = "NilpotentFamily"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Machine-readable description of an infinite zero family."""
+class FamilySpec(namedtuple(
+        "FamilySpec", "text scalar nilpotency_bound base direction",
+        defaults=(None, None, None))):
+    """Machine-readable description of an infinite zero family: its
+    ``text`` and ``scalar`` part, with the ``nilpotency_bound``, ``base``
+    and ``direction`` where the family has them (else None)."""
 
-    text: str
-    scalar: complex
-    nilpotency_bound: int | None = None
-    base: Zeon | None = None
-    direction: Zeon | None = None
-
-
-@dataclass(frozen=True)
-class ZeroSetDescription:
-    kind: ZeroSetKind
-    zeros: tuple[Zeon, ...] = ()
-    family_spec: FamilySpec | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Everything ``split`` learned about a polynomial's zero set."""
+class ZeroSetDescription(namedtuple(
+        "ZeroSetDescription", "kind zeros family_spec", defaults=((), None))):
+    """A :class:`ZeroSetKind` with its listed ``zeros`` and, for a
+    family, its :class:`FamilySpec` (else None)."""
 
-    poly: ZeonPoly
-    scalar_spectrum: tuple[ScalarRoot, ...]
-    spectral_zeros: tuple[SpectralZero, ...]
-    families: tuple[ZeroSetDescription, ...]
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
-    @cached_property
+
+class SolveReport(namedtuple(
+        "SolveReport",
+        "poly scalar_spectrum spectral_zeros families warnings")):
+    """Everything ``split`` learned about a polynomial's zero set: the
+    input ``poly`` and tuples of its scalar roots, spectral zeros, zero
+    set descriptions and warnings."""
+
+    __slots__ = ()
+
+    @property
     def input_digest(self) -> str:
         """First 16 hex digits of the SHA-256 of the input's canonical text.
 
-        Computed on first read, so ``split`` does not format its input
+        Computed on each read, so ``split`` does not format its input
         and only ``solve`` imports ``hashlib``.
         """
         import hashlib

@@ -301,6 +301,19 @@ class TestTolerance:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    @pytest.mark.parametrize("entry", ["prune_eps = abc",
+                                       "eq_eps = 1e-3 # c", "root_eps ="])
+    def test_non_numeric_config_value(self, monkeypatch, tmp_path, entry):
+        # reported like an unknown key: where, and the line as written
+        monkeypatch.delenv("ZEON_TOL", raising=False)
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"# header\n{entry}\n")
+        code, out, err = run("inv", "--n", "1", "--config", str(cfg), "1")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": f"{cfg}:2: bad entry {entry!r}"}
+
     # a coarse prune_eps drops the 0.0001 term while parsing; the
     # default keeps it and the inverse carries it to z{1,2}
     DUST = "1 + 0.0001 z{1} + z{2}"
@@ -570,6 +583,23 @@ class TestBatch:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    def test_unclosed_quote_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "cmds.txt"
+        f.write_text('inv --n 1 "1 + z{1}"\n\ninv --n 1 "1 + z{1\n')
+        code, out, err = run("--batch", str(f))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert error_name(line) == "ParseError"
+        assert json.loads(line)["message"].startswith(f"{f}:3: ")
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "cmds.txt"
+        f.write_bytes(b'inv --n 1 "1"\n\xff\n')
+        code, out, err = run("--batch", str(f))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert error_name(line) == "ParseError"
+
     def test_empty_batch(self, tmp_path):
         f = tmp_path / "cmds.txt"
         f.write_text("# nothing to do\n")
@@ -702,3 +732,87 @@ class TestEntryPoints:
             dense = dense_from_terms(5, [(tuple(ix), complex(re, im))
                                          for ix, re, im in got])
             assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_package_binds_names_on_first_access(self):
+        # import zeon loads no submodule; each public name then comes
+        # from the submodule that defines it, as that module's object
+        script = """if True:
+            import importlib, json, sys
+            import zeon
+            report = {"after_import": sorted(
+                m for m in sys.modules if m.startswith("zeon."))}
+            from zeon import Zeon
+            report["after_zeon"] = sorted(
+                m for m in sys.modules if m.startswith("zeon."))
+            try:
+                zeon.nope
+            except AttributeError as exc:
+                report["nope"] = str(exc)
+            report["backend"] = zeon.backend_name()
+            report["undir"] = sorted(set(zeon.__all__) - set(dir(zeon)))
+            report["all"] = list(zeon.__all__)
+            foreign = []
+            for module, names in zeon._EXPORTS.items():
+                mod = importlib.import_module("zeon." + module)
+                for name in names:
+                    ns = {}
+                    exec(f"from zeon import {name} as value", ns)
+                    own = vars(mod)[name]
+                    if ns["value"] is not own or getattr(
+                            own, "__module__", mod.__name__) != mod.__name__:
+                        foreign.append(name)
+            report["foreign"] = foreign
+            print(json.dumps(report))
+        """
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["after_import"] == []
+        assert report["after_zeon"] == ["zeon._backend", "zeon.algebra",
+                                        "zeon.errors"]
+        assert report["nope"] == "module 'zeon' has no attribute 'nope'"
+        assert report["backend"] == "numpy"
+        assert report["undir"] == []
+        names = report["all"]
+        assert len(names) == len(set(names)) == 71
+        assert {"__version__", "backend_name"} <= set(names)
+        assert report["foreign"] == []
+
+    # each subcommand, the zeon modules it may load beyond the common
+    # ones, and a small input for it
+    FOOTPRINTS = {
+        "eval": (set(), ["--n", "2", "1; 2; 1", "z{1}"]),
+        "inv": (set(), ["--n", "2", "1 + z{1}"]),
+        "root": (set(), ["--n", "2", "--k", "3", "8 + z{1} + z{1,2}"]),
+        "divide": (set(), ["--n", "2", "1; 0; 1", "1; 1"]),
+        "quad": (set(), ["--n", "2", "1", "0", "-1 + z{1}"]),
+        "solve": ({"zeon.solve"}, ["--n", "4", QUARTIC]),
+        "classify": ({"zeon.solve"}, ["--n", "2", "0; 0; 1"]),
+        "extend": ({"zeon.analytic"},
+                   ["--n", "3", "--fn", "exp", "1 + z{1} + z{2,3}"]),
+        "preimage": ({"zeon.analytic", "zeon.solve"},
+                     ["--n", "2", "--fn", "log", "--seed", "1",
+                      "0.5 + z{1}"]),
+    }
+
+    @pytest.mark.parametrize("command", list(FOOTPRINTS))
+    def test_each_command_loads_only_its_modules(self, command):
+        extra, args = self.FOOTPRINTS[command]
+        script = """if True:
+            import contextlib, io, json, sys
+            from zeon.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(sys.argv[1:])
+            print(json.dumps([code, sorted(sys.modules)]))
+        """
+        proc = subprocess.run([sys.executable, "-c", script, command, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        common = {"zeon", "zeon._backend", "zeon.algebra", "zeon.cli",
+                  "zeon.errors", "zeon.poly", "zeon.textio"}
+        assert {m for m in modules if m.split(".")[0] == "zeon"} == (
+            common | extra)
+        assert not {"dataclasses", "inspect"} & set(modules)
