@@ -210,6 +210,9 @@ class Zeon:
     def __setattr__(self, name, value):
         raise AttributeError("Zeon is immutable")
 
+    def __reduce__(self):
+        return _rebuild, (self.n, self.terms())
+
     # -- construction helpers -------------------------------------------
 
     @classmethod
@@ -449,6 +452,13 @@ class Zeon:
     def __repr__(self) -> str:
         from .textio import format_zeon
         return f"<Zeon n={self.n}: {format_zeon(self)}>"
+
+
+def _rebuild(n: int, terms: list) -> Zeon:
+    # copies and pickles go through __init__, which checks them, with
+    # nothing pruned, so a copy equals its original under any tolerance
+    with tolerance(Tolerance(prune_eps=0.0)):
+        return Zeon(n, terms)
 
 
 # the slots' own setters, which skip Zeon.__setattr__

@@ -1,9 +1,17 @@
 """Command-line interface.
 
 Subcommands parse element/polynomial inputs (text grammar or JSON),
-dispatch to one library operation each, and print the result: elements
-and polynomials in the canonical text form (or JSON with ``--json``),
-structured reports always as JSON objects.
+dispatch to one library operation each, and print the result by one
+rule: an element, a polynomial, or a list or record made only of them
+prints one per line in the canonical text form, or as one JSON value
+with ``--json``; any other result (the reports of quad, solve and
+classify) prints as one JSON object.  A record prints as its fields in
+order, so its JSON keys are its field names; the solve report gives
+``input_digest`` in place of ``poly``.
+
+Each subcommand is declared once, by ``@_command`` on its handler, with
+its input kinds and extra options; the handler's docstring is its
+``--help`` text.
 
 Exit codes: 0 success; 1 usage, parse, or config problems; 2
 mathematical non-existence or domain errors.  Exit-2 failures write
@@ -33,9 +41,10 @@ import json
 import os
 import shlex
 import sys
+from enum import Enum
 from io import StringIO
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from .algebra import Tolerance, Zeon, default_tolerance, kth_roots, tolerance
 from .errors import ZeonError
@@ -71,16 +80,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_COMMANDS: dict[str, Callable[..., int]] = {}
+
+
+def _command(name: str, *kinds: str, fn: bool = False, seed: bool = False,
+             k: bool = False):
+    """Declare the decorated handler as subcommand ``name``: its inputs
+    are of ``kinds`` ("poly" or "zeon"), and ``fn``, ``seed`` and ``k``
+    add those options."""
+    def register(handler):
+        handler.kinds, handler.fn, handler.seed, handler.k = kinds, fn, seed, k
+        _COMMANDS[name] = handler
+        return handler
+    return register
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zeon", description=__doc__.splitlines()[0])
     parser.add_argument("--batch", metavar="FILE",
                         help="run one command per line from FILE")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name: str, help_: str, *, fn: bool = False, seed: bool = False,
-            k: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for name, handler in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--n", type=int, default=None,
                        help="generator count of the ambient algebra")
         p.add_argument("--json", action="store_true",
@@ -91,49 +113,24 @@ def _build_parser() -> _Parser:
                        help="key=value tolerance defaults")
         p.add_argument("--in", dest="infile", metavar="FILE", default=None,
                        help="read the inputs from FILE instead of arguments")
-        if fn:
+        if handler.fn:
             p.add_argument("--fn", required=True,
                            help="analytic function name, e.g. exp, pow(0.5)")
-        if seed:
+        if handler.seed:
             p.add_argument("--seed", default=None,
                            help="scalar seed (complex literal)")
-        if k:
+        if handler.k:
             p.add_argument("--k", type=int, default=2, help="root order")
         p.add_argument("inputs", nargs="*", metavar="INPUT",
                        help="input expressions (when --in is not used)")
-        return p
-
-    add("eval", "evaluate a polynomial at an element")
-    add("inv", "multiplicative inverse of an element")
-    add("root", "all k-th roots of an invertible element", k=True)
-    add("divide", "polynomial division with remainder")
-    add("quad", "solve a quadratic with invertible leading coefficient")
-    add("solve", "zero set of a polynomial", seed=True)
-    add("classify", "zero set of a scalar-coefficient polynomial")
-    add("extend", "apply the extension of an analytic function", fn=True)
-    add("preimage", "preimage of an element under an analytic extension",
-        fn=True, seed=True)
     return parser
 
 
 # -- input plumbing ----------------------------------------------------------
 
 
-_SLOT_KINDS = {
-    "eval": ("poly", "zeon"),
-    "inv": ("zeon",),
-    "root": ("zeon",),
-    "divide": ("poly", "poly"),
-    "quad": ("zeon", "zeon", "zeon"),
-    "solve": ("poly",),
-    "classify": ("poly",),
-    "extend": ("zeon",),
-    "preimage": ("zeon",),
-}
-
-
 def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
-    kinds = _SLOT_KINDS[ns.command]
+    kinds = _COMMANDS[ns.command].kinds
     if ns.infile is not None:
         if ns.inputs:
             raise _UsageError("--in replaces the positional inputs")
@@ -199,22 +196,35 @@ def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
 # -- output plumbing ---------------------------------------------------------
 
 
-def _complex_json(c: complex) -> dict[str, float]:
-    return {"re": c.real, "im": c.imag}
+def _encode(obj: Any, as_json: bool) -> Any:
+    """``obj`` as JSON data: elements and polynomials as their dicts
+    (``as_json``) or text, records as ``{field: value}`` in field order."""
+    if isinstance(obj, Zeon):
+        return zeon_to_dict(obj) if as_json else format_zeon(obj)
+    if isinstance(obj, ZeonPoly):
+        return poly_to_dict(obj) if as_json else format_poly(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: _encode(value, as_json) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(item, as_json) for item in obj]
+    return obj
 
 
-def _scalar_root_json(root) -> dict[str, Any]:
-    return {"value": _complex_json(root.value),
-            "multiplicity": root.multiplicity, "simple": root.simple}
-
-
-def _render_zeon(u: Zeon, as_json: bool) -> Any:
-    return zeon_to_dict(u) if as_json else format_zeon(u)
-
-
-def _print_zeon(u: Zeon, ns: argparse.Namespace, out: TextIO) -> None:
-    rendered = _render_zeon(u, ns.json)
-    print(json.dumps(rendered) if ns.json else rendered, file=out)
+def _emit(result: Any, ns: argparse.Namespace, out: TextIO) -> int:
+    """Print ``result`` by the output rule and return exit code 0."""
+    items = result if isinstance(result, (list, tuple)) else (result,)
+    if ns.json or not all(isinstance(x, (Zeon, ZeonPoly)) for x in items):
+        print(json.dumps(_encode(result, ns.json)), file=out)
+    else:
+        for item in items:
+            print(_encode(item, False), file=out)
+    return 0
 
 
 def _fail(err: TextIO, name: str, message: str, code: int = 1) -> int:
@@ -226,115 +236,65 @@ def _fail(err: TextIO, name: str, message: str, code: int = 1) -> int:
 # -- commands ----------------------------------------------------------------
 
 
+@_command("eval", "poly", "zeon")
 def _cmd_eval(ns, out, err) -> int:
+    """evaluate a polynomial at an element"""
     poly, point = _load_inputs(ns)
-    _print_zeon(poly(point), ns, out)
-    return 0
+    return _emit(poly(point), ns, out)
 
 
+@_command("inv", "zeon")
 def _cmd_inv(ns, out, err) -> int:
+    """multiplicative inverse of an element"""
     (u,) = _load_inputs(ns)
-    _print_zeon(u.inverse(), ns, out)
-    return 0
+    return _emit(u.inverse(), ns, out)
 
 
+@_command("root", "zeon", k=True)
 def _cmd_root(ns, out, err) -> int:
+    """all k-th roots of an invertible element"""
     (u,) = _load_inputs(ns)
     if ns.k < 1:
         raise _UsageError("--k must be a positive integer")
-    roots = kth_roots(u, ns.k)
-    if ns.json:
-        print(json.dumps([zeon_to_dict(r) for r in roots]), file=out)
-    else:
-        for r in roots:
-            print(format_zeon(r), file=out)
-    return 0
+    return _emit(kth_roots(u, ns.k), ns, out)
 
 
+@_command("divide", "poly", "poly")
 def _cmd_divide(ns, out, err) -> int:
+    """polynomial division with remainder"""
     dividend, divisor = _load_inputs(ns)
-    result = divide(dividend, divisor)
-    if ns.json:
-        print(json.dumps({
-            "quotient": poly_to_dict(result.quotient),
-            "remainder": poly_to_dict(result.remainder),
-        }), file=out)
-    else:
-        print(format_poly(result.quotient), file=out)
-        print(format_poly(result.remainder), file=out)
-    return 0
+    return _emit(divide(dividend, divisor), ns, out)
 
 
+@_command("quad", "zeon", "zeon", "zeon")
 def _cmd_quad(ns, out, err) -> int:
+    """solve a quadratic with invertible leading coefficient"""
     alpha, beta, gamma = _load_inputs(ns)
     outcome = quadratic_solve(alpha, beta, gamma)
     if outcome.kind is QuadraticKind.NO_ZEROS:
         return _fail(err, "NoZeros",
                      outcome.note or "the quadratic has no zeros", 2)
-    report = {
-        "kind": outcome.kind.value,
-        "zeros": [_render_zeon(z, ns.json) for z in outcome.zeros],
-        "discriminant": _render_zeon(outcome.discriminant, ns.json),
-        "family_base": (None if outcome.family_base is None
-                        else _render_zeon(outcome.family_base, ns.json)),
-        "note": outcome.note,
-    }
-    print(json.dumps(report), file=out)
-    return 0
+    return _emit(outcome, ns, out)
 
 
+@_command("solve", "poly", seed=True)
 def _cmd_solve(ns, out, err) -> int:
+    """zero set of a polynomial"""
     from .solve import spectrally_simple_zero, split
 
     (poly,) = _load_inputs(ns)
     if ns.seed is not None:
         seed = parse_complex(ns.seed)
-        result = spectrally_simple_zero(poly, seed)
-        _print_zeon(result.zero, ns, out)
-        return 0
+        return _emit(spectrally_simple_zero(poly, seed).zero, ns, out)
     report = split(poly)
-    payload = {
-        "input_digest": report.input_digest,
-        "scalar_spectrum": [_scalar_root_json(r)
-                            for r in report.scalar_spectrum],
-        "spectral_zeros": [
-            {"zero": _render_zeon(z.zero, ns.json),
-             "seed": _scalar_root_json(z.seed),
-             "iterations": z.iterations,
-             "residual": z.residual,
-             "grade_trace": list(z.grade_trace)}
-            for z in report.spectral_zeros
-        ],
-        "families": [_description_json(f, ns.json) for f in report.families],
-        "warnings": list(report.warnings),
-    }
-    print(json.dumps(payload), file=out)
-    return 0
+    fields = report._asdict()
+    del fields["poly"]
+    return _emit({"input_digest": report.input_digest, **fields}, ns, out)
 
 
-def _description_json(description, as_json: bool) -> dict[str, Any]:
-    return {
-        "kind": description.kind.value,
-        "zeros": [_render_zeon(z, as_json) for z in description.zeros],
-        "family_spec": (None if description.family_spec is None
-                        else _family_json(description.family_spec, as_json)),
-    }
-
-
-def _family_json(family, as_json: bool) -> dict[str, Any]:
-    return {
-        "text": family.text,
-        "scalar": (None if family.scalar is None
-                   else _complex_json(family.scalar)),
-        "nilpotency_bound": family.nilpotency_bound,
-        "base": (None if family.base is None
-                 else _render_zeon(family.base, as_json)),
-        "direction": (None if family.direction is None
-                      else _render_zeon(family.direction, as_json)),
-    }
-
-
+@_command("classify", "poly")
 def _cmd_classify(ns, out, err) -> int:
+    """zero set of a scalar-coefficient polynomial"""
     from .solve import classify_nilpotent_zeros
 
     (poly,) = _load_inputs(ns)
@@ -347,21 +307,22 @@ def _cmd_classify(ns, out, err) -> int:
                 "is not scalar"
             )
         coeffs.append(c.scalar_part())
-    description = classify_nilpotent_zeros(coeffs, poly.n)
-    print(json.dumps(_description_json(description, ns.json)), file=out)
-    return 0
+    return _emit(classify_nilpotent_zeros(coeffs, poly.n), ns, out)
 
 
+@_command("extend", "zeon", fn=True)
 def _cmd_extend(ns, out, err) -> int:
+    """apply the extension of an analytic function"""
     from .analytic import ZeonExtension, by_name, extend_eval
 
     (u,) = _load_inputs(ns)
     ext = ZeonExtension(by_name(ns.fn), u.n)
-    _print_zeon(extend_eval(ext, u), ns, out)
-    return 0
+    return _emit(extend_eval(ext, u), ns, out)
 
 
+@_command("preimage", "zeon", fn=True, seed=True)
 def _cmd_preimage(ns, out, err) -> int:
+    """preimage of an element under an analytic extension"""
     from .analytic import ZeonExtension, by_name, preimage
 
     (w,) = _load_inputs(ns)
@@ -369,21 +330,7 @@ def _cmd_preimage(ns, out, err) -> int:
         raise _UsageError("preimage requires --seed")
     seed = parse_complex(ns.seed)
     ext = ZeonExtension(by_name(ns.fn), w.n)
-    _print_zeon(preimage(ext, w, seed), ns, out)
-    return 0
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "inv": _cmd_inv,
-    "root": _cmd_root,
-    "divide": _cmd_divide,
-    "quad": _cmd_quad,
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "extend": _cmd_extend,
-    "preimage": _cmd_preimage,
-}
+    return _emit(preimage(ext, w, seed), ns, out)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -403,8 +350,8 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
             return _fail(err, "UsageError", "--batch takes no subcommand")
         return _run_batch(ns.batch, out, err)
     if ns.command is None:
-        parser.print_usage(err)
-        return 1
+        usage = " ".join(parser.format_usage().split())
+        return _fail(err, "UsageError", f"a command is required; {usage}")
     try:
         with tolerance(_resolve_tolerance(ns)):
             return _COMMANDS[ns.command](ns, out, err)

@@ -83,6 +83,10 @@ class ZeonPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ZeonPoly is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__
+        return ZeonPoly, (self.coeffs, self.n)
+
     # -- construction ------------------------------------------------------
 
     @classmethod

@@ -1,15 +1,27 @@
 """Command line interface: exit codes, formats, files, batch mode."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from collections import namedtuple
 from io import StringIO
 
 import pytest
 
 import zeon.poly
-from zeon import Zeon, default_tolerance, parse_zeon
+from zeon import (
+    FamilySpec,
+    QuadraticOutcome,
+    ScalarRoot,
+    SolveReport,
+    SpectralZero,
+    Zeon,
+    ZeroSetDescription,
+    default_tolerance,
+    parse_zeon,
+)
 from zeon.cli import _dispatch, main
 
 Z1 = Zeon.blade(2, (1,))
@@ -179,6 +191,252 @@ class TestJsonOutput:
         report = json.loads(out)
         assert report["zeros"][0]["n"] == 2
         assert isinstance(report["zeros"][0]["terms"], list)
+
+
+# -- golden output ------------------------------------------------------------
+
+
+def terms(*triples):
+    """The ``--json`` terms of an element, from ``(index, re, im)``."""
+    return [{"index": list(ix), "re": re, "im": im} for ix, re, im in triples]
+
+
+def el(n, *triples):
+    return {"n": n, "terms": terms(*triples)}
+
+
+def line(doc):
+    return json.dumps(doc) + "\n"
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def root(value, multiplicity=1):
+    return {"value": {"re": value, "im": 0.0}, "multiplicity": multiplicity,
+            "simple": multiplicity == 1}
+
+
+def with_json(argv):
+    return argv[:1] + ["--json"] + argv[1:]
+
+
+# u**2 - (3 + z1) u + (2 + 2 z1): the discriminant (3 + z1)**2 - 4 (2 +
+# 2 z1) = 1 - 2 z1 has the root 1 - z1, so the zeros are
+# (3 + z1 +- (1 - z1)) / 2 = 2 and 1 + z1
+TWO_DISTINCT = ["quad", "--n", "1", "1", "-3 - z{1}", "2 + 2*z{1}"]
+# (u - 1)**2: discriminant 0, every 1 + eta with eta*eta = 0 is a zero
+NULL_SQUARE = ["quad", "--n", "2", "1", "-2", "1"]
+# u**2 - z{1,2} / 2: discriminant 2 z{1,2} = (z1 + z2)**2, zeros
+# +-(z1 + z2) / 2
+NILPOTENT_ROOTS = ["quad", "--n", "2", "1", "0", "0 - 0.5*z{1,2}"]
+# discriminant z{1,2} + z{3,4}: the grade-2 part of (sum a_i z_i)**2 is
+# 2 sum a_i a_j z{i,j}, which cannot hit z{1,2} and z{3,4} alone, so no
+# root exists, though no grade obstruction certifies it
+UNDETERMINED = ["quad", "--n", "4", "1", "0", "0 - 0.25*z{1,2} - 0.25*z{3,4}"]
+# discriminant -4 z1 has a grade-1 term, which no square has
+NO_ZEROS = ["quad", "--n", "2", "1", "-2", "1 + z{1}"]
+NULL_NOTE = "zeros are base + eta for every eta with eta*eta = 0"
+FAMILY_NOTE = ("each listed zero extends to an infinite family: adding any "
+               "complex multiple of the full blade z{1,2} to the "
+               "discriminant root leaves its square unchanged")
+UNDETERMINED_NOTE = ("minimum grade 2: no square root found by the layered "
+                     "or the all-layer search")
+NO_ZEROS_ERR = line({"error": "NoZeros", "message": (
+    "a nonzero square of a nilpotent has minimum grade >= 2, input has "
+    "minimum grade 1")})
+
+# u**2 - (1 + z1): zeros +-(1 + z1 / 2), each one correction step above
+# its scalar root, where the residual -z1 has minimum grade 1
+SIMPLE = "-1 - z{1}; 0; 1"
+# (u - 1)**2, all scalar: the family 1 + d with d**2 = 0
+DOUBLE = "1; -2; 1"
+# (u - 1)(u - 1 - z1): a double scalar root under zeon coefficients
+DOUBLE_ZEON = "1 + z{1}; -2 - z{1}; 1"
+DOUBLE_WARNING = ("scalar root (1+0j) has multiplicity 2; no spectrally "
+                  "simple zero exists above it and the zero set there was "
+                  "not determined")
+
+
+def solve_report(text, spectrum, zeros=(), families=(), warnings=()):
+    return line({"input_digest": digest(text),
+                 "scalar_spectrum": list(spectrum),
+                 "spectral_zeros": list(zeros), "families": list(families),
+                 "warnings": list(warnings)})
+
+
+def simple_zero(zero, value):
+    return {"zero": zero, "seed": root(value), "iterations": 1,
+            "residual": 0.0, "grade_trace": [1]}
+
+
+def double_family(base):
+    return {"kind": "MultiplicityFamily", "zeros": [base], "family_spec": {
+        "text": "(1+0j) + d for every nilpotent d with d**2 = 0",
+        "scalar": {"re": 1.0, "im": 0.0}, "nilpotency_bound": 2,
+        "base": base, "direction": None}}
+
+
+def nilpotent_family(witness, base):
+    return {"kind": "NilpotentFamily", "zeros": [witness], "family_spec": {
+        "text": ("a*z{I} for every nonzero complex a and nonempty index "
+                 "set I; more generally every nilpotent u with u**2 = 0"),
+        "scalar": {"re": 0.0, "im": 0.0}, "nilpotency_bound": 2,
+        "base": base, "direction": None}}
+
+
+def quad_report(kind, zeros, discriminant, family_base=None, note=""):
+    return line({"kind": kind, "zeros": zeros, "discriminant": discriminant,
+                 "family_base": family_base, "note": note})
+
+
+# (argv, exit code, stdout, stderr): one invocation of each result shape,
+# in text and in --json
+GOLDEN = [
+    # an element: (2 + z1)**2 + 1 = 5 + 4 z1
+    (["eval", "--n", "1", "1; 0; 1", "2 + z{1}"], 0, "5 + 4*z{1}\n", ""),
+    (["eval", "--json", "--n", "1", "1; 0; 1", "2 + z{1}"], 0,
+     line(el(1, ((), 5.0, 0.0), ((1,), 4.0, 0.0))), ""),
+    # a list of elements: the square roots +-(2 + z1) of 4 + 4 z1
+    (["root", "--n", "1", "--k", "2", "4 + 4*z{1}"], 0,
+     "2 + z{1}\n-2 - z{1}\n", ""),
+    (["root", "--json", "--n", "1", "--k", "2", "4 + 4*z{1}"], 0,
+     line([el(1, ((), 2.0, 0.0), ((1,), 1.0, 0.0)),
+           el(1, ((), -2.0, 0.0), ((1,), -1.0, 0.0))]), ""),
+    # a record of polynomials: u**2 = (u - z1)(u + z1) + 0
+    (["divide", "--n", "1", "0; 0; 1", "-z{1}; 1"], 0, "z{1}; 1\n0\n", ""),
+    (["divide", "--json", "--n", "1", "0; 0; 1", "-z{1}; 1"], 0,
+     line({"quotient": {"n": 1, "coeffs": [terms(((1,), 1.0, 0.0)),
+                                           terms(((), 1.0, 0.0))]},
+           "remainder": {"n": 1, "coeffs": []}}), ""),
+    (TWO_DISTINCT, 0,
+     quad_report("TwoDistinct", ["2", "1 + z{1}"], "1 - 2*z{1}"), ""),
+    (with_json(TWO_DISTINCT), 0, quad_report(
+        "TwoDistinct",
+        [el(1, ((), 2.0, 0.0)), el(1, ((), 1.0, 0.0), ((1,), 1.0, 0.0))],
+        el(1, ((), 1.0, 0.0), ((1,), -2.0, 0.0))), ""),
+    (NULL_SQUARE, 0,
+     quad_report("NullSquareFamily", ["1"], "0", "1", NULL_NOTE), ""),
+    (with_json(NULL_SQUARE), 0, quad_report(
+        "NullSquareFamily", [el(2, ((), 1.0, -0.0))], el(2),
+        el(2, ((), 1.0, -0.0)), NULL_NOTE), ""),
+    (NILPOTENT_ROOTS, 0, quad_report(
+        "NilpotentDiscriminantRoots",
+        ["0.5*z{1} + 0.5*z{2}", "-0.5*z{1} - 0.5*z{2}"], "2*z{1,2}",
+        "0.5*z{1} + 0.5*z{2}", FAMILY_NOTE), ""),
+    (with_json(NILPOTENT_ROOTS), 0, quad_report(
+        "NilpotentDiscriminantRoots",
+        [el(2, ((1,), 0.5, 0.0), ((2,), 0.5, 0.0)),
+         el(2, ((1,), -0.5, 0.0), ((2,), -0.5, 0.0))],
+        el(2, ((1, 2), 2.0, -0.0)),
+        el(2, ((1,), 0.5, 0.0), ((2,), 0.5, 0.0)), FAMILY_NOTE), ""),
+    (UNDETERMINED, 0, quad_report(
+        "Undetermined", [], "z{1,2} + z{3,4}", note=UNDETERMINED_NOTE), ""),
+    (with_json(UNDETERMINED), 0, quad_report(
+        "Undetermined", [],
+        el(4, ((1, 2), 1.0, -0.0), ((3, 4), 1.0, -0.0)),
+        note=UNDETERMINED_NOTE), ""),
+    (NO_ZEROS, 2, "", NO_ZEROS_ERR),
+    (with_json(NO_ZEROS), 2, "", NO_ZEROS_ERR),
+    (["solve", "--n", "1", SIMPLE], 0, solve_report(
+        SIMPLE, [root(-1.0), root(1.0)],
+        [simple_zero("-1 - 0.5*z{1}", -1.0),
+         simple_zero("1 + 0.5*z{1}", 1.0)]), ""),
+    (["solve", "--json", "--n", "1", SIMPLE], 0, solve_report(
+        SIMPLE, [root(-1.0), root(1.0)],
+        [simple_zero(el(1, ((), -1.0, 0.0), ((1,), -0.5, 0.0)), -1.0),
+         simple_zero(el(1, ((), 1.0, 0.0), ((1,), 0.5, -0.0)), 1.0)]), ""),
+    (["solve", "--n", "1", DOUBLE], 0, solve_report(
+        DOUBLE, [root(1.0, 2)], families=[double_family("1")]), ""),
+    (["solve", "--json", "--n", "1", DOUBLE], 0, solve_report(
+        DOUBLE, [root(1.0, 2)],
+        families=[double_family(el(1, ((), 1.0, 0.0)))]), ""),
+    (["solve", "--n", "2", DOUBLE_ZEON], 0, solve_report(
+        DOUBLE_ZEON, [root(1.0, 2)], warnings=[DOUBLE_WARNING]), ""),
+    (["solve", "--json", "--n", "2", DOUBLE_ZEON], 0, solve_report(
+        DOUBLE_ZEON, [root(1.0, 2)], warnings=[DOUBLE_WARNING]), ""),
+    # the zero of (u - 1)(u - 2 - z1) above 2
+    (["solve", "--n", "1", "--seed", "2", "2 + z{1}; -3 - z{1}; 1"], 0,
+     "2 + z{1}\n", ""),
+    (["solve", "--json", "--n", "1", "--seed", "2",
+      "2 + z{1}; -3 - z{1}; 1"], 0,
+     line(el(1, ((), 2.0, 0.0), ((1,), 1.0, -0.0))), ""),
+    # u**2: every nilpotent with u**2 = 0; u + 1: no nilpotent zero
+    (["classify", "--n", "2", "0; 0; 1"], 0,
+     line(nilpotent_family("z{1}", "0")), ""),
+    (["classify", "--json", "--n", "2", "0; 0; 1"], 0,
+     line(nilpotent_family(el(2, ((1,), 1.0, 0.0)), el(2))), ""),
+    (["classify", "--n", "2", "1; 1"], 0,
+     line({"kind": "Empty", "zeros": [], "family_spec": None}), ""),
+    (["classify", "--json", "--n", "2", "1; 1"], 0,
+     line({"kind": "Empty", "zeros": [], "family_spec": None}), ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN,
+                         ids=[" ".join(g[0][:2]) for g in GOLDEN])
+def test_golden_output(argv, code, out, err):
+    assert run(*argv) == (code, out, err)
+
+
+# -- report schema -------------------------------------------------------------
+
+
+class TestReportSchema:
+    """The JSON reports carry their records' field names, in order."""
+
+    @pytest.mark.parametrize("argv", [TWO_DISTINCT, NULL_SQUARE,
+                                      NILPOTENT_ROOTS, UNDETERMINED])
+    def test_quad(self, argv):
+        for args in (argv, with_json(argv)):
+            code, out, _ = run(*args)
+            assert code == 0
+            assert tuple(json.loads(out)) == QuadraticOutcome._fields
+
+    def test_classify(self):
+        for fmt in ([], ["--json"]):
+            _, out, _ = run("classify", *fmt, "--n", "2", "0; 0; 1")
+            description = json.loads(out)
+            assert tuple(description) == ZeroSetDescription._fields
+            assert tuple(description["family_spec"]) == FamilySpec._fields
+
+    @pytest.mark.parametrize("text", [SIMPLE, DOUBLE])
+    def test_solve(self, text):
+        for fmt in ([], ["--json"]):
+            _, out, _ = run("solve", *fmt, "--n", "1", text)
+            report = json.loads(out)
+            assert tuple(report) == (
+                ("input_digest",) + SolveReport._fields[1:])
+            seeds = [z["seed"] for z in report["spectral_zeros"]]
+            for root in report["scalar_spectrum"] + seeds:
+                assert tuple(root) == ScalarRoot._fields
+            for zero in report["spectral_zeros"]:
+                assert tuple(zero) == SpectralZero._fields
+            for family in report["families"]:
+                assert tuple(family) == ZeroSetDescription._fields
+                assert tuple(family["family_spec"]) == FamilySpec._fields
+            assert report["spectral_zeros"] or report["families"]
+
+    def test_new_record_field_reaches_json(self, monkeypatch):
+        # a field added to SpectralZero shows in solve --json as it is
+        import zeon.solve
+
+        Conditioned = namedtuple("Conditioned",
+                                 SpectralZero._fields + ("condition",))
+        split = zeon.solve.split
+
+        def conditioned_split(phi):
+            report = split(phi)
+            return report._replace(spectral_zeros=tuple(
+                Conditioned(*z, condition=0.5 + 1j)
+                for z in report.spectral_zeros))
+
+        monkeypatch.setattr(zeon.solve, "split", conditioned_split)
+        _, out, _ = run("solve", "--json", "--n", "1", SIMPLE)
+        zeros = json.loads(out)["spectral_zeros"]
+        assert [z["condition"] for z in zeros] == [{"re": 0.5, "im": 1.0}] * 2
+        assert all(tuple(z) == Conditioned._fields for z in zeros)
 
 
 # -- file input ---------------------------------------------------------------
@@ -525,6 +783,7 @@ class TestErrors:
         (["quad", "--n", "1", "1", "0", "z{1}"], 2, "NoZeros"),
         (["--batch", "x", "inv"], 1, "UsageError"),
         (["--batch", "no-such-batch-file.txt"], 1, "ParseError"),
+        ([], 1, "UsageError"),
     ])
     def test_diagnostic_is_one_json_line(self, argv, code, name):
         got, out, err = run(*argv)

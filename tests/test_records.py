@@ -23,6 +23,10 @@ from zeon import (
     ZeonPoly,
     ZeroSetDescription,
     ZeroSetKind,
+    mask_to_indices,
+    quadratic_solve,
+    split,
+    tolerance,
 )
 
 U = Zeon(2, {(): 1, (1,): 2})
@@ -149,3 +153,51 @@ def test_every_way_of_building_a_tolerance_validates():
     assert not hasattr(Tolerance, "_replace")
     with pytest.raises(ValueError):
         Tolerance(1e-14, math.nan)
+
+
+# -- copies and pickles of elements --------------------------------------------
+
+# 19 dual terms: past the small-element limit, so stored as arrays
+WIDE = Zeon(5, [(mask_to_indices(m), 0.25 * m - 0.5j) for m in range(1, 20)])
+SMALL_ROOT = Zeon(5, {(): 1, (1,): 2, (2, 3): -0.5j})
+WIDE_ROOT = 3 + WIDE
+CUBIC = ZeonPoly.from_roots(5, [SMALL_ROOT, WIDE_ROOT, -2])
+QUADRATIC = ZeonPoly.from_roots(5, [SMALL_ROOT, WIDE_ROOT])
+REBUILDS = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+REBUILD_IDS = ["copy", "deepcopy", "pickle"]
+
+
+def assert_rebuilt(original, rebuilt):
+    assert rebuilt == original
+    assert hash(rebuilt) == hash(original)
+
+
+@pytest.mark.parametrize("rebuild", REBUILDS, ids=REBUILD_IDS)
+@pytest.mark.parametrize("value", [SMALL_ROOT, WIDE, CUBIC],
+                         ids=["small", "wide", "poly"])
+def test_elements_copy_and_pickle(value, rebuild):
+    assert len(WIDE.terms()) == 19
+    assert_rebuilt(value, rebuild(value))
+
+
+@pytest.mark.parametrize("rebuild", REBUILDS, ids=REBUILD_IDS)
+def test_records_holding_elements_copy_and_pickle(rebuild):
+    report = split(CUBIC)
+    outcome = quadratic_solve(*reversed(QUADRATIC.coeffs))
+    assert len(report.spectral_zeros) == 3
+    assert outcome.kind is QuadraticKind.TWO_DISTINCT
+    assert max(len(z.terms()) for z in outcome.zeros) >= 17
+    for record in (report, outcome, *report.spectral_zeros):
+        assert_rebuilt(record, rebuild(record))
+    for zero in (*outcome.zeros, outcome.discriminant,
+                 *(z.zero for z in report.spectral_zeros)):
+        assert_rebuilt(zero, rebuild(zero))
+
+
+def test_element_copies_keep_terms_below_the_current_prune_eps():
+    with tolerance(Tolerance(prune_eps=0.0)):
+        fine = Zeon(1, {(): 1, (1,): 1e-20})
+        poly = ZeonPoly([fine, 1e-20])
+    for rebuild in REBUILDS:
+        assert_rebuilt(fine, rebuild(fine))
+        assert_rebuilt(poly, rebuild(poly))
