@@ -97,7 +97,8 @@ def _command(name: str, *kinds: str, fn: bool = False, seed: bool = False,
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="zeon", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="zeon",
+                     description=(__doc__ or "").partition("\n")[0])
     parser.add_argument("--batch", metavar="FILE",
                         help="run one command per line from FILE")
     sub = parser.add_subparsers(dest="command")

@@ -8,10 +8,10 @@ leading coefficient must be invertible; when it is, quotient and
 remainder are unique.
 
 The quadratic machinery lives here too: the discriminant, a best-effort
-layered square root of nilpotent elements (closed form for a grade-1
-bottom layer and for odd minimum grade, a Gauss-Newton fit for bottom
-layers of grade 2 or more and, as the last resort, for all layers at
-once), and the quadratic solver with its five-way outcome.
+layered square root of nilpotent elements (single null-square blade
+bottoms at every grade below half the minimum grade, and Gauss-Newton
+fits that each run from one start, the all-layer one warm from the first
+completed layer stack), and the quadratic solver with its five-way outcome.
 
 numpy is imported only where a least-squares fit runs
 (:func:`least_squares`, :func:`_complete_layers`); small elements and
@@ -318,7 +318,7 @@ def _blades_of_grade(bits: list[int], grade: int) -> list[int]:
 
 # at most this many candidate blades enter a least-squares fit
 MAX_UNKNOWNS = 120
-# Gauss-Newton steps per start.  Near a singular root (the common case:
+# Gauss-Newton steps per fit.  Near a singular root (the common case:
 # roots come in families) the error only halves per step, which takes
 # about 50 steps from order one down to rounding.
 _NEWTON_STEPS = 60
@@ -329,7 +329,8 @@ def _squares_to(v: Zeon, w: Zeon, tol: Tolerance) -> bool:
     return (v.mul(v) - w).max_abs() <= tol.eq_eps * max(1.0, w.max_abs())
 
 
-def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
+def least_squares(w: Zeon, cands: list[int], tol: Tolerance,
+                  start: Zeon | None = None) -> Zeon | None:
     """Gauss-Newton fit of ``v = sum_j x_j z{cands[j]}`` to ``v*v = w``.
 
     ``v*v`` is holomorphic in ``x``, so its Jacobian is exactly
@@ -337,11 +338,12 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     holds ``2 x_a`` at row ``a|b`` for each candidate ``a`` disjoint
     from ``b``, and ``v*v = J x / 2``.  Each step is one complex
     ``np.linalg.lstsq`` (the minimum-norm step when the system is
-    underdetermined), with no split into real and imaginary parts.  A
-    constant start and three seeded random ones run in turn; the first
-    ``v`` whose exact product matches ``w`` (:func:`_squares_to`) is
-    returned, None when no start gets there or there are no candidates
-    or more than ``MAX_UNKNOWNS``.
+    underdetermined), with no split into real and imaginary parts.  The
+    iteration runs once, from ``start`` read on the candidates, or from
+    a constant scaled to ``w`` when there is no start.  The ``v`` it
+    reaches is returned when its exact product matches ``w``
+    (:func:`_squares_to`); None otherwise, or when there are no
+    candidates or more than ``MAX_UNKNOWNS``.
     """
     k = len(cands)
     if not k or k > MAX_UNKNOWNS:
@@ -360,29 +362,25 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance) -> Zeon | None:
     row = np.array([row_of[cands[a] | cands[b]] for a, b in pairs])
     target = np.array([w.coeff(mask_to_indices(mk)) for mk in rows],
                       dtype=np.complex128)
-    amp = np.sqrt(max(1.0, w.max_abs()) / 2.0)
-    rng = np.random.default_rng(20240801)
-    starts = [np.full(k, amp * (1 + 1j))]
-    starts += [amp * (rng.normal(size=k) + 1j * rng.normal(size=k))
-               for _ in range(3)]
     blades = [mask_to_indices(mk) for mk in cands]
+    if start is None:
+        x = np.full(k, np.sqrt(max(1.0, w.max_abs()) / 2.0) * (1 + 1j))
+    else:
+        x = np.array([start.coeff(b) for b in blades], dtype=np.complex128)
     jac = np.zeros((len(rows), k), dtype=np.complex128)
-    for x in starts:
-        for _ in range(_NEWTON_STEPS):
-            jac[row, col] = 2.0 * x[src]
-            res = 0.5 * (jac @ x) - target
-            if not np.all(np.isfinite(res)):
-                break
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-            x = x + step
-            if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):
-                break
-        if not np.all(np.isfinite(x)):
-            continue
-        v = Zeon(w.n, zip(blades, x))
-        if _squares_to(v, w, tol):
-            return v
-    return None
+    for _ in range(_NEWTON_STEPS):
+        jac[row, col] = 2.0 * x[src]
+        res = 0.5 * (jac @ x) - target
+        if not np.all(np.isfinite(res)):
+            return None
+        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        x = x + step
+        if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):
+            break
+    if not np.all(np.isfinite(x)):
+        return None
+    v = Zeon(w.n, zip(blades, x))
+    return v if _squares_to(v, w, tol) else None
 
 
 def nilpotent_sqrt(w: Zeon) -> Zeon:
@@ -391,16 +389,17 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
     A nonzero nilpotent square always has minimum grade at least 2
     (every blade of ``v*v`` is a disjoint union of two blades of ``v``),
     so an input with a grade-1 term fails immediately and that failure
-    is certified.  Everything else runs a layered search for a root of
-    minimum grade ``g = m // 2``, ``m = min_grade(w)``: a candidate
-    bottom layer ``v_g``, then each higher layer from a linear
-    minimum-norm system, since ``2 v_g x`` is linear in ``x``.  The
-    bottom comes in closed form for odd ``m`` (a single null-square
-    blade scaled from the upper grades, :func:`_odd_bottoms`) and for
-    ``g = 1`` (:func:`_grade_one_bottoms`), and from the Gauss-Newton
-    fit :func:`least_squares` for even ``m >= 4``.  When no completed
-    layer stack verifies, the same fit over all layers at once is the
-    last resort.
+    is certified.  Everything else runs a layered search: a candidate
+    bottom layer ``v_h`` of grade ``h``, then each higher layer from a
+    linear minimum-norm system, since ``2 v_h x`` is linear in ``x``.
+    With ``m = min_grade(w)``, the bottom is first fitted at grade
+    ``m/2`` by :func:`least_squares` for even ``m >= 4``, or read in
+    closed form at grade 1 for ``m = 2`` (:func:`_grade_one_bottoms`);
+    then, for every ``m``, it is a single null-square blade of each
+    grade ``h`` from ``(m-1)//2`` down to 1 (:func:`_blade_bottoms`).
+    The first completed stack that verifies is returned.  Otherwise the
+    fit over all layers at once runs from one start, the first completed
+    stack (a constant when there is none); nothing restarts at random.
 
     Raises :class:`SqrtNotFound` when nothing verifies; ``certified`` is
     True only for the provable grade obstruction.
@@ -418,15 +417,20 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
             f"input has minimum grade {m}",
             certified=True,
         )
-    g = m // 2
     gen_bits = _support_generators(w)
-    v = _layered_sqrt(w, m, gen_bits, tol)
-    if v is None:
-        # all layers at once, over the grades that can still reach a
-        # product of grade <= n
-        grade_hi = min(max(g, w.n - g), len(gen_bits))
-        v = least_squares(w, [b for k in range(g, grade_hi + 1)
-                              for b in _blades_of_grade(gen_bits, k)], tol)
+    first = None
+    for v in _layered_sqrt(w, m, gen_bits, tol):
+        if _squares_to(v, w, tol):
+            return v
+        if first is None:
+            first = v
+    # all layers at once, over the grades that can still reach a
+    # product of grade <= n
+    g = m // 2 if first is None else first.min_grade()
+    grade_hi = min(max(g, w.n - g), len(gen_bits))
+    v = least_squares(w, [b for k in range(g, grade_hi + 1)
+                          for b in _blades_of_grade(gen_bits, k)],
+                      tol, first)
     if v is None:
         raise SqrtNotFound(
             f"minimum grade {m}: no square root found by the layered or "
@@ -481,51 +485,44 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
 
 
 def _layered_sqrt(w: Zeon, m: int, gen_bits: list[int],
-                  tol: Tolerance) -> Zeon | None:
-    """Grade-layered construction of v with v*v = w, min grade m // 2.
-
-    The candidate bottom layers depend on the case (see
-    :func:`nilpotent_sqrt`); each is completed upward, and the first
-    whose exact product reproduces ``w`` is returned.
-    """
-    g = m // 2
-    if m % 2:
-        bottoms = _odd_bottoms(w, gen_bits, g)
-    elif g == 1:
-        bottoms = _grade_one_bottoms(w, gen_bits, tol)
-    else:
-        v_g = least_squares(w.grade_part(m), _blades_of_grade(gen_bits, g),
-                            tol)
-        bottoms = [] if v_g is None else [v_g]
-    for v_g in bottoms:
-        v = _complete_layers(w, v_g, g, gen_bits)
-        if _squares_to(v, w, tol):
-            return v
-    return None
+                  tol: Tolerance) -> Iterator[Zeon]:
+    """Completed layer stacks for ``v*v = w``, unverified, in the order
+    of :func:`nilpotent_sqrt`."""
+    if m == 2:
+        for v_1 in _grade_one_bottoms(w, gen_bits, tol):
+            yield _complete_layers(w, v_1, 1, gen_bits)
+    elif m % 2 == 0:
+        v_g = least_squares(w.grade_part(m),
+                            _blades_of_grade(gen_bits, m // 2), tol)
+        if v_g is not None:
+            yield _complete_layers(w, v_g, m // 2, gen_bits)
+    for h in range((m - 1) // 2, 0, -1):
+        for v_h in _blade_bottoms(w, gen_bits, h):
+            yield _complete_layers(w, v_h, h, gen_bits)
 
 
-def _odd_bottoms(w: Zeon, gen_bits: list[int], g: int) -> Iterator[Zeon]:
-    """Closed-form bottoms ``a z_B`` for odd minimum grade ``2g+1``.
+def _blade_bottoms(w: Zeon, gen_bits: list[int], h: int) -> Iterator[Zeon]:
+    """Single-blade bottoms ``a z_B`` of grade ``h < min_grade(w) / 2``.
 
     The bottom layer must square to zero (``w`` has nothing at grade
-    2g), and every lowest-grade blade of ``w`` has to contain a bottom
-    blade for the first linear layer to be solvable.  A single grade-g
-    blade ``B`` inside the common intersection of those blades does
-    both.  With ``v = a z_B + y + ...`` (``y`` of grade g+1), grade 2g+1
-    gives ``a y[K] = w[B|K] / 2``.  So ``a`` times the rest of the root
-    leads with ``x = sum w[B|K] / 2 z_K`` over every blade ``B|K`` of
-    ``w``, and on the lowest-grade blades ``K`` disjoint from ``B`` only
-    the rest squared reaches ``w``: ``a**2 = (x*x)[K] / w[K]``, read on
-    the one with the largest ``|w[K]|``; ``a = 1`` when ``w`` has no
-    blade disjoint from ``B``.  The caller completes and verifies.
+    2h), and every lowest-grade blade of ``w`` has to contain a bottom
+    blade for the first layer that reaches it to be solvable.  A single
+    grade-h blade ``B`` inside the common intersection of those blades
+    does both, whatever the parity of the minimum grade.  With
+    ``v = a z_B + y`` (``y`` above grade h), ``w[B|K] = 2 a y[K]`` at the
+    lowest grades, so ``a`` times the rest of the root leads with
+    ``x = sum w[B|K] / 2 z_K`` over every blade ``B|K`` of ``w``.  On the
+    lowest-grade blades ``K`` disjoint from ``B`` only the rest squared
+    reaches ``w``: ``a**2 = (x*x)[K] / w[K]``, read on the one with the
+    largest ``|w[K]|``, or ``a = 1`` without such a ``K``; a zero ``a``
+    skips ``B``.  The caller completes and verifies.
     """
     c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
-    lowest = [mk for mk in c if mk.bit_count() == 2 * g + 1]
     common = ~0
-    for mk in lowest:
+    for mk in w.min_grade_part().support_masks():
         common &= mk
     shared = [b for b in gen_bits if b & common]
-    for blade in itertools.combinations(shared, g):
+    for blade in itertools.combinations(shared, h):
         B = sum(blade)
         disjoint = [mk for mk in c if not mk & B]
         a = 1.0
@@ -534,7 +531,8 @@ def _odd_bottoms(w: Zeon, gen_bits: list[int], g: int) -> Iterator[Zeon]:
                            for mk in c if mk & B == B])
             K = min(disjoint, key=lambda mk: (mk.bit_count(), -abs(c[mk])))
             a = cmath.sqrt(x.mul(x).coeff(mask_to_indices(K)) / c[K])
-        yield Zeon.blade(w.n, mask_to_indices(B), a)
+        if a:
+            yield Zeon.blade(w.n, mask_to_indices(B), a)
 
 
 def _grade_one_bottoms(w: Zeon, gen_bits: list[int],

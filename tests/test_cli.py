@@ -901,6 +901,16 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "1 - z{1}\n"
 
+    def test_runs_with_docstrings_stripped(self):
+        # under -OO every __doc__ is None; the parser must not need them
+        argv = ["-m", "zeon.cli", "inv", "--n", "1", "1 + z{1}"]
+        plain, stripped = (
+            subprocess.run([sys.executable, *flags, *argv],
+                           capture_output=True, text=True)
+            for flags in ([], ["-OO"]))
+        assert stripped.returncode == 0, stripped.stderr
+        assert stripped.stdout == plain.stdout == "1 - z{1}\n"
+
     def test_cold_start_leaves_scipy_unimported(self):
         # numpy is the only dependency: with scipy and numba made
         # unimportable, a command and a square root whose bottom layer

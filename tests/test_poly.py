@@ -440,14 +440,64 @@ class TestNilpotentSqrt:
         Zeon(7, {(1, 2): 1, (3, 4): 1j, (5, 6): 2, (1, 3, 7): -0.5}),
         Zeon(8, {(1, 2): 0.5, (3, 4): 1, (5, 6): -1j, (7, 8): 1}),
         Zeon(6, {(1, 2, 3): 1, (4, 5, 6): 0.5}),
+        # minimum grade 4 with a grade-1 bottom z2
+        Zeon(8, {(2,): 1, (1, 5, 6): 1, (4, 5, 8): 0.5}),
+        # the grade-2 fit misses; the single-blade bottom z4 roots it
+        Zeon(8, {(4,): 0.658 + 0.151j, (1, 5, 7): 0.659 - 0.200j,
+                 (1, 5, 8): 0.041 + 0.748j, (3, 6, 8): 1.835 - 0.592j}),
+        # minimum grade 2: no layer stack verifies; the all-layer fit
+        # started from the first one finds a root of order one, where a
+        # constant start drifted to coefficients of order 1e5
+        Zeon(8, {(6,): 0.628 - 0.289j, (2, 7): -0.075 - 0.118j,
+                 (8,): 0.808 + 1.132j, (5, 8): 1.070 - 0.810j}),
     ])
     def test_bottom_layer_of_grade_two_or_more(self, v0):
-        # minimum grade 4 or 6: no closed form for the bottom layer, so
-        # the root comes from the least-squares fit
+        # the bottom comes from the grade-m/2 least-squares fit or as a
+        # single null-square blade of lower grade; failing both, the
+        # all-layer fit runs
         w = v0.mul(v0)
         v = nilpotent_sqrt(w)
         got = dense_mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
+
+    def test_square_corpus(self):
+        # 432 squares v*v of 2-5 random blades of grade 1-3 at n = 4-8;
+        # these five are not rooted, and every other one is, to rounding
+        missed = []
+        for i, w in enumerate(square_corpus()):
+            try:
+                v = nilpotent_sqrt(w)
+            except SqrtNotFound:
+                missed.append(i)
+                continue
+            want = to_dense(w)
+            got = dense_mul(to_dense(v), to_dense(v))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert set(missed) <= {34, 170, 219, 229, 318}
+
+
+def random_blades(rng, n, count, grades):
+    """``count`` blades of grade drawn from ``grades`` over n generators,
+    with complex normal coefficients (a later draw of a blade wins)."""
+    terms = {}
+    for _ in range(count):
+        g = int(rng.integers(*grades))
+        indices = rng.choice(np.arange(1, n + 1), g, replace=False)
+        terms[tuple(sorted(indices.tolist()))] = complex(rng.normal(),
+                                                         rng.normal())
+    return Zeon(n, terms)
+
+
+def square_corpus():
+    rng = np.random.default_rng(8080)
+    squares = []
+    while len(squares) < 432:
+        n = int(rng.integers(4, 9))
+        v = random_blades(rng, n, int(rng.integers(2, 6)), (1, 4))
+        w = v.mul(v)
+        if not w.is_zero():
+            squares.append(w)
+    return squares
 
 
 # -- quadratics ----------------------------------------------------------
@@ -538,6 +588,24 @@ class TestQuadraticSolve:
         out = quadratic_solve(Zeon.one(4), Zeon.zero(4), gamma)
         assert out.kind is QuadraticKind.UNDETERMINED
         assert out.zeros == ()
+
+    def test_close_root_pairs_determined(self):
+        # roots s + nil1 and s + nil2 share a scalar part, so the
+        # discriminant (nil1 - nil2)**2 is nilpotent and has a root
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            s = complex(rng.normal(), rng.normal())
+            roots = [s + random_blades(rng, n, int(rng.integers(2, 5)),
+                                       (1, 3))
+                     for _ in range(2)]
+            gamma, beta, alpha = ZeonPoly.from_roots(n, roots).coeffs
+            out = quadratic_solve(alpha, beta, gamma)
+            assert out.kind is not QuadraticKind.UNDETERMINED, out.note
+            coeffs = [to_dense(c) for c in (gamma, beta, alpha)]
+            for z in out.zeros:
+                assert np.abs(dense_poly_eval(coeffs, to_dense(z))).max() \
+                    < 1e-9
 
     def test_nilpotent_leading_coefficient_rejected(self):
         with pytest.raises(LeadingCoefficientNotInvertible):
