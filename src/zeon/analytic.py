@@ -27,12 +27,13 @@ import re
 from collections import namedtuple
 from typing import Iterator
 
-from .algebra import Tolerance, Zeon, _taylor_sum, default_tolerance
+from .algebra import Zeon, _taylor_sum, default_tolerance
 from .errors import (
     DimensionMismatch,
     NonFiniteResult,
     NotSpectrallySimple,
     OutsideDomain,
+    RootFindingFailed,
     SeedMismatch,
 )
 from .poly import ZeonPoly
@@ -174,16 +175,19 @@ def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
     return _taylor_sum(u.dual_part(), _taylor_coeffs(ext, s))
 
 
+def _derivative(fn: AnalyticFunction, z: complex, k: int) -> complex:
+    try:
+        return fn.derivative(z, k)
+    except OverflowError:
+        # cmath's report of a derivative beyond the float range
+        raise NonFiniteResult(
+            f"derivative {k} of {fn.name} overflows at {z}"
+        ) from None
+
+
 def _taylor_coeffs(ext: ZeonExtension, s: complex) -> Iterator[complex]:
     for k in range(ext.n + 1):
-        try:
-            d = ext.fn.derivative(s, k)
-        except OverflowError:
-            # cmath's report of a derivative beyond the float range
-            raise NonFiniteResult(
-                f"derivative {k} of {ext.fn.name} overflows at {s}"
-            ) from None
-        yield d / math.factorial(k)
+        yield _derivative(ext.fn, s, k) / math.factorial(k)
 
 
 def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
@@ -208,68 +212,49 @@ def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
     return ZeonPoly.from_scalars(ext.n, coeffs)
 
 
-def _refine_scalar_preimage(ext: ZeonExtension, target: complex,
-                            z0: complex, tol: Tolerance) -> complex:
-    """Newton-solve f(z) = target starting from the seed ``z0``.
-
-    The seed selects the branch: iteration stays in its basin, so the
-    caller still chooses among preimages of a non-injective function.
-    """
-    scale = max(1.0, abs(target))
-    z = z0
-    for _ in range(80):
-        value = ext.fn.derivative(z, 0)
-        if abs(value - target) <= tol.root_eps * scale:
-            return z
-        slope = ext.fn.derivative(z, 1)
-        if abs(slope) <= tol.root_eps:
-            raise NotSpectrallySimple(
-                f"hit a critical point of {ext.fn.name} near {z} while "
-                f"refining the seed {z0}"
-            )
-        step = (value - target) / slope
-        z = z - step
-        if not ext.fn.in_domain(z):
-            raise OutsideDomain(
-                f"seed refinement left the domain of {ext.fn.name} at {z}"
-            )
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
-    value = ext.fn.derivative(z, 0)
-    if abs(value - target) > tol.root_eps * scale:
-        raise SeedMismatch(
-            f"no scalar preimage of {target} under {ext.fn.name} found "
-            f"from seed {z0}; reached {z} with {ext.fn.name}(z) = {value}"
-        )
-    return z
-
-
 def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     """An element mapped onto ``w`` by the extension, near scalar ``z0``.
 
-    ``z0`` seeds the scalar preimage of ``C(w)``: it is polished by
-    Newton iteration on ``f(z) = C(w)``, so it only has to sit in the
-    basin of the intended branch (the library never picks a branch on
-    its own).  The refined point must not be a critical point.  The
-    preimage is then the spectrally simple zero of the polynomial form
-    minus ``w`` seeded there; by construction its image is ``w``.
+    ``z0`` seeds the scalar preimage of ``C(w)``: Newton's loop polishes
+    it on ``f(z) - C(w)``, so it need only sit in the intended branch's
+    basin (the library never picks a branch).  That residual raises
+    :class:`OutsideDomain` at any iterate off the domain, before the
+    slope is taken there.  The polished point needs a residual within
+    ``r = root_eps * max(1, |C(w)|)`` (else :class:`SeedMismatch`) and
+    a slope above ``root_eps`` (else :class:`NotSpectrallySimple`).  The
+    preimage is the spectrally simple zero of the polynomial form minus
+    ``w`` seeded there.  A slope whose square is at most ``r`` puts a
+    critical value within ``r`` (``f(z) - f(c) ~ f'(z)**2 / 2f''``); the
+    lift is then ill-conditioned, and its image must match ``w`` within
+    ``eq_eps * max(1, max |w|)`` (else :class:`RootFindingFailed`).
     """
     # the zero finder loads here, so extend_eval alone never imports it
-    from .solve import spectrally_simple_zero
+    from .solve import _newton, spectrally_simple_zero
 
     tol = default_tolerance()
     if w.n != ext.n:
         raise DimensionMismatch(f"element has n={w.n}, extension has n={ext.n}")
-    z0 = complex(z0)
-    if not ext.fn.in_domain(z0):
-        raise OutsideDomain(f"{ext.fn.name} is undefined at {z0}")
+    fn = ext.fn
     target = w.scalar_part()
-    z_at = _refine_scalar_preimage(ext, target, z0, tol)
-    slope = ext.fn.derivative(z_at, 1)
-    if abs(slope) <= tol.root_eps:
-        raise NotSpectrallySimple(
-            f"{z_at} is a critical point of {ext.fn.name}; the scalar "
-            "preimage is not simple"
-        )
+    bound = tol.root_eps * max(1.0, abs(target))
+
+    def residual(z: complex) -> complex:
+        if not fn.in_domain(z):
+            raise OutsideDomain(f"{fn.name} is undefined at {z}")
+        return _derivative(fn, z, 0) - target
+
+    z_at = _newton(residual, lambda z: _derivative(fn, z, 1), complex(z0))
+    miss = residual(z_at)
+    if abs(miss) > bound:
+        raise SeedMismatch(f"no scalar preimage of {target} under {fn.name} "
+                           f"from seed {z0}; reached {z_at}, {abs(miss)} away")
+    slope = abs(_derivative(fn, z_at, 1))
+    if slope <= tol.root_eps:
+        raise NotSpectrallySimple(f"{z_at} is a critical point of {fn.name}")
     psi = polynomial_form(ext, z_at) - ZeonPoly([w], n=ext.n)
-    return spectrally_simple_zero(psi, z_at).zero
+    zero = spectrally_simple_zero(psi, z_at).zero
+    if slope * slope <= bound:
+        miss = (extend_eval(ext, zero) - w).max_abs()
+        if miss > tol.eq_eps * max(1.0, w.max_abs()):
+            raise RootFindingFailed(f"lift misses w by {miss}", partial=zero)
+    return zero

@@ -46,7 +46,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
-from .algebra import Tolerance, Zeon, default_tolerance, kth_roots, tolerance
+from .algebra import Tolerance, Zeon, kth_roots, tolerance
 from .errors import ZeonError
 from .poly import QuadraticKind, ZeonPoly, divide, quadratic_solve
 from .textio import (
@@ -299,16 +299,10 @@ def _cmd_classify(ns, out, err) -> int:
     from .solve import classify_nilpotent_zeros
 
     (poly,) = _load_inputs(ns)
-    coeffs = []
-    eps = default_tolerance().eq_eps
-    for k, c in enumerate(poly.coeffs):
-        if c.dual_part().max_abs() > eps:
-            raise _UsageError(
-                f"classify expects scalar coefficients; coefficient {k} "
-                "is not scalar"
-            )
-        coeffs.append(c.scalar_part())
-    return _emit(classify_nilpotent_zeros(coeffs, poly.n), ns, out)
+    if not poly.is_scalar():
+        raise _UsageError("classify expects scalar coefficients")
+    return _emit(classify_nilpotent_zeros(poly.scalar_projection(), poly.n),
+                 ns, out)
 
 
 @_command("extend", "zeon", fn=True)

@@ -23,7 +23,8 @@ import cmath
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .algebra import Tolerance, Zeon, default_tolerance
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     NotSpectrallySimple,
     RootFindingFailed,
 )
-from .poly import ZeonPoly, divide
+from .poly import ZeonPoly
 
 __all__ = [
     "ScalarRoot",
@@ -97,13 +98,21 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
-def _newton_refine(c: list[complex], z: complex, iters: int = 60) -> complex:
-    d = _der(c)
-    for _ in range(iters):
-        dv = _horner(d, z)
-        if dv == 0:
+def _newton(f: Callable[[complex], complex],
+            fp: Callable[[complex], complex], z: complex) -> complex:
+    """Newton's iteration on the scalar function ``f`` with slope ``fp``.
+
+    Each round evaluates ``f`` before ``fp``, so a residual that raises
+    off its domain does so before the slope is asked for there.  Stops
+    at a zero slope, a step of at most ``1e-16 * (1 + |z|)`` or after
+    80 rounds; the caller judges the point returned.
+    """
+    for _ in range(80):
+        value = f(z)
+        slope = fp(z)
+        if slope == 0:
             break
-        step = _horner(c, z) / dv
+        step = value / slope
         z = z - step
         if abs(step) <= 1e-16 * (1.0 + abs(z)):
             break
@@ -252,7 +261,8 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
         target = monic
         for _ in range(ell - 1):
             target = _der(target)
-        center = _newton_refine(target, center)
+        center = _newton(partial(_horner, target),
+                         partial(_horner, _der(target)), center)
         out.append((center, ell))
     return out
 
@@ -298,12 +308,12 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     tol = default_tolerance()
     f = _lead_checked_projection(phi, tol)
     scale = max(map(abs, f))
-    lam0 = _newton_refine(f, complex(lam0))
+    fp = _der(f)
+    lam0 = _newton(partial(_horner, f), partial(_horner, fp), complex(lam0))
     if abs(_horner(f, lam0)) > tol.root_eps * scale:
         raise NotSpectrallySimple(
             f"seed {lam0} is not a root of the scalar projection"
         )
-    fp = _der(f)
     g0 = _horner(fp, lam0)
     if abs(g0) <= tol.root_eps * max(abs(f[-1]), max(map(abs, fp))):
         raise NotSpectrallySimple(
@@ -556,16 +566,12 @@ def multiple_zero_family(phi: ZeonPoly, w1: Zeon,
         raise FamilyPreconditionError(
             "the two zeros must share their scalar part"
         )
-    if w1.isclose(w2):
-        linear = ZeonPoly([w1.scale(-1.0), Zeon.one(n)], n=n)
-        once = divide(phi, linear)
-        if once.remainder.coeffs and once.remainder.coeff(0).max_abs() > eps * scale:
-            raise FamilyPreconditionError("w does not divide the polynomial")
-        twice = divide(once.quotient, linear)
-        if twice.remainder.coeffs and twice.remainder.coeff(0).max_abs() > eps * scale:
-            raise FamilyPreconditionError(
-                "equal zeros need multiplicity at least 2"
-            )
+    # phi(w1) = 0 above, so (u - w1)**2 divides phi exactly when
+    # phi'(w1) = 0 too: the remainder theorem applied twice
+    if w1.isclose(w2) and phi.derivative().eval(w1).max_abs() > eps * scale:
+        raise FamilyPreconditionError(
+            "equal zeros need multiplicity at least 2"
+        )
     direction = Zeon.blade(n, tuple(range(1, n + 1)))
     for a in (1.0, -2.0, 0.5 + 1.0j):
         sample = w1 + direction.scale(a)

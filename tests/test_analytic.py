@@ -10,6 +10,7 @@ from zeon import (
     DimensionMismatch,
     NotSpectrallySimple,
     OutsideDomain,
+    RootFindingFailed,
     SeedMismatch,
     Zeon,
     ZeonExtension,
@@ -316,9 +317,19 @@ class TestPreimage:
         with pytest.raises(NotSpectrallySimple):
             preimage(ext("cos", 2), Zeon.one(2) + Z1, 0.0)
 
+    def test_double_scalar_preimage_rejected(self):
+        # cos' vanishes at pi, so -1 + z{1} has no preimage; the seed
+        # creeps to within 3e-8 of pi, where the lift misses w
+        with pytest.raises(RootFindingFailed):
+            preimage(ext("cos", 2), Zeon(2, {(): -1, (1,): 1}), 3.0)
+
     def test_seed_outside_domain_rejected(self):
-        with pytest.raises(OutsideDomain):
-            preimage(ext("log", 2), Zeon.one(2), -1.0)
+        # a seed on the cut, and a seed whose first Newton step for
+        # log(z) = -1 lands on 0, where log' is undefined too
+        for w, seed in ((Zeon.one(2), -1.0),
+                        (Zeon(2, {(): -1, (1,): 1}), 1.0)):
+            with pytest.raises(OutsideDomain):
+                preimage(ext("log", 2), w, seed)
 
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -700,6 +700,10 @@ class TestErrors:
         code, _, err = run("classify", "--n", "1", "z{1}; 1")
         assert code == 1
         assert error_name(err) == "UsageError"
+        # a dual part within eq_eps is dropped, as ZeonPoly.is_scalar does
+        code, out, _ = run("classify", "--n", "2", "0; 0; 1 + 1e-12 z{1}")
+        assert code == 0
+        assert "NilpotentFamily" in out
 
     def test_unparseable_element(self):
         code, _, err = run("inv", "--n", "1", "1 + q{1}")
@@ -738,6 +742,14 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert error_name(err) == "NonFiniteResult"
 
+    def test_preimage_walk_overflow_exit_2(self):
+        # Newton's first step for exp(z) = 1e5 from 0 lands near 1e5,
+        # where cmath.exp overflows while the seed is refined
+        code, out, err = run("preimage", "--fn", "exp", "--n", "1",
+                             "--seed", "0", "100000 + z{1}")
+        assert (code, out) == (2, "")
+        assert error_name(err) == "NonFiniteResult"
+
     def test_integer_beyond_float_range_is_parse_error(self, tmp_path):
         f = tmp_path / "u.json"
         f.write_text('{"n": 1, "terms": [{"index": [], "re": 1%s, "im": 0}]}'
@@ -765,10 +777,12 @@ class TestErrors:
         assert error_name(err) == "NotSpectrallySimple"
 
     def test_preimage_outside_domain_exit_2(self):
-        code, _, err = run("preimage", "--fn", "log", "--n", "1",
-                           "--seed", "-1", "1")
-        assert code == 2
-        assert error_name(err) == "OutsideDomain"
+        # a seed on the cut, and one whose first Newton step lands on 0
+        for n, seed, w in (("1", "-1", "1"), ("2", "1", "-1 + z{1}")):
+            code, _, err = run("preimage", "--fn", "log", "--n", n,
+                               "--seed", seed, w)
+            assert code == 2
+            assert error_name(err) == "OutsideDomain"
 
     def test_unknown_fn(self):
         code, _, err = run("extend", "--fn", "gamma", "--n", "1", "1")

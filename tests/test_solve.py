@@ -571,10 +571,14 @@ class TestMultipleZeroFamily:
         assert phi.eval(member).max_abs() < 1e-12
 
     def test_same_zero_twice_with_multiplicity(self):
-        phi = ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.one(2)])
-        fam = multiple_zero_family(phi, Zeon.one(2), Zeon.one(2))
-        assert fam.zeros == (Zeon.one(2),)
-        assert fam.family_spec.base.isclose(Zeon.one(2))
+        w = Zeon(3, {(): 1, (1,): 1})
+        for phi, w1 in (
+                (ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.one(2)]),
+                 Zeon.one(2)),
+                (ZeonPoly.from_roots(3, [w, w, Zeon.scalar(3, 2.0)]), w)):
+            fam = multiple_zero_family(phi, w1, w1)
+            assert fam.zeros == (w1,)
+            assert fam.family_spec.base.isclose(w1)
 
     def test_rejects_non_zero(self):
         phi = ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.one(2)])
@@ -587,9 +591,15 @@ class TestMultipleZeroFamily:
             multiple_zero_family(phi, Zeon.one(2), Zeon.scalar(2, 2.0))
 
     def test_rejects_simple_zero_passed_twice(self):
-        phi = ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.scalar(2, 2.0)])
-        with pytest.raises(FamilyPreconditionError):
-            multiple_zero_family(phi, Zeon.one(2), Zeon.one(2))
+        # the second case shares its scalar root, but (u - w)**2 does
+        # not divide it: phi'(w) = z{1} - z{2}
+        w = Zeon(3, {(): 1, (1,): 1})
+        for phi, w1 in (
+                (ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.scalar(2, 2.0)]),
+                 Zeon.one(2)),
+                (ZeonPoly.from_roots(3, [w, Zeon(3, {(): 1, (2,): 1})]), w)):
+            with pytest.raises(FamilyPreconditionError):
+                multiple_zero_family(phi, w1, w1)
 
     def test_rejects_mixed_n(self):
         phi = ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.one(2)])
