@@ -19,10 +19,10 @@ mathematical non-existence or domain errors.  Exit-2 failures write
 
 Tolerance precedence: ``--tol`` flag, then ``--config`` file (key=value
 lines, one per :class:`Tolerance` field: prune_eps, eq_eps, root_eps,
-cluster_eps), then the ZEON_TOL environment variable (eq_eps only),
-then built-in defaults.  Each command, a batch line too, parses its
-inputs and runs inside ``with tolerance(...)`` for the one
-``Tolerance`` it resolved, so no setting outlives its command.
+cluster_eps), then built-in defaults; nothing is read from the
+environment.  Each command, a batch line too, parses its inputs and
+runs inside ``with tolerance(...)`` for the one ``Tolerance`` it
+resolved, so no setting outlives its command.
 
 ``--batch <file>`` runs one command per line (``#`` comments and blank
 lines skipped); lines run one after another in this process, and each
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import shlex
 import sys
 from enum import Enum
@@ -168,12 +167,6 @@ def _load_inputs(ns: argparse.Namespace) -> list[Zeon | ZeonPoly]:
 def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
     defaults = Tolerance()
     values = {key: getattr(defaults, key) for key in Tolerance.__slots__}
-    env = os.environ.get("ZEON_TOL")
-    if env is not None:
-        try:
-            values["eq_eps"] = float(env)
-        except ValueError:
-            raise ValueError(f"ZEON_TOL is not a number: {env!r}") from None
     if ns.config is not None:
         for lineno, raw in enumerate(Path(ns.config).read_text().splitlines(),
                                      start=1):

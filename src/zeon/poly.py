@@ -157,8 +157,8 @@ class ZeonPoly:
             raise DimensionMismatch(
                 f"point has n={point.n}, polynomial has n={self.n}"
             )
-        acc = Zeon.zero(self.n)
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1] if self.coeffs else Zeon.zero(self.n)
+        for c in self.coeffs[-2::-1]:
             acc = acc.mul(point).add(c)
         return acc
 
@@ -316,8 +316,9 @@ def _blades_of_grade(bits: list[int], grade: int) -> list[int]:
     return [sum(c) for c in itertools.combinations(bits, grade)]
 
 
-# at most this many candidate blades enter a least-squares fit
-MAX_UNKNOWNS = 120
+# at most this many candidate blades enter a least-squares fit: 2**8, so
+# a fit at n <= 8 is never refused
+MAX_UNKNOWNS = 256
 # Gauss-Newton steps per fit.  Near a singular root (the common case:
 # roots come in families) the error only halves per step, which takes
 # about 50 steps from order one down to rounding.

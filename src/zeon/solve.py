@@ -26,7 +26,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
-from .algebra import Tolerance, Zeon, default_tolerance
+from .algebra import Tolerance, Zeon, _raw, default_tolerance
 from .errors import (
     DimensionMismatch,
     FamilyPreconditionError,
@@ -62,6 +62,7 @@ class ScalarRoot(namedtuple("ScalarRoot", "value multiplicity simple")):
 # machine epsilon: a Horner value at z is off by at most about
 # deg * _EPS * sum_k |a_k| |z|**k
 _EPS = 2.0 ** -52
+_SQRT_EPS = 2.0 ** -26
 # Aberth rounds between two checks of the steps against the noise radius
 _STALL_ROUNDS = 32
 # Aberth rounds after which an unsettled iteration is given up
@@ -104,18 +105,27 @@ def _newton(f: Callable[[complex], complex],
 
     Each round evaluates ``f`` before ``fp``, so a residual that raises
     off its domain does so before the slope is asked for there.  Stops
-    at a zero slope, a step of at most ``1e-16 * (1 + |z|)`` or after
-    80 rounds; the caller judges the point returned.
+    at a zero slope, at a step of at most ``1e-16 * (1 + |z|)`` or after
+    80 rounds.  Once a step has fallen below ``sqrt(eps) * (1 + |z|)``,
+    one that fails to shrink is rounding noise (Horner on large expanded
+    coefficients makes such noise): it is not taken, and the loop stops.
+    The caller judges the point returned.
     """
+    last = math.inf
     for _ in range(80):
         value = f(z)
         slope = fp(z)
         if slope == 0:
             break
         step = value / slope
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+        size = abs(step)
+        if size >= last:
             break
+        z = z - step
+        if size <= 1e-16 * (1.0 + abs(z)):
+            break
+        if size <= _SQRT_EPS * (1.0 + abs(z)):
+            last = size
     return z
 
 
@@ -319,35 +329,29 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
         raise NotSpectrallySimple(
             f"seed {lam0} is a multiple root of the scalar projection"
         )
-    n = phi.n
-    lam = Zeon.scalar(n, lam0)
+    lam = Zeon.scalar(phi.n, lam0)
     trace: list[int] = []
-    iterations = 0
-    prev_grade = 0
-    for _ in range(n + 1):
+    while True:
         value = phi.eval(lam)
         if abs(value.scalar_part()) > tol.eq_eps * scale:
             raise NotSpectrallySimple(
                 "scalar residual did not vanish at the polished seed"
             )
-        rho = value.dual_part()
-        # grades at or below the last corrected one vanish exactly in
-        # exact arithmetic, so anything surviving there is evaluation
-        # dust; the absolute floor keeps higher-grade dust out too
-        rho = Zeon(rho.n, [(ix, c) for ix, c in rho.terms()
-                           if len(ix) > prev_grade
-                           and abs(c) > tol.prune_eps * scale])
-        if rho.is_zero():
-            residual = value.max_abs()
+        # grades at or below the last corrected one (the scalar part
+        # included) vanish exactly in exact arithmetic, so anything
+        # surviving there is evaluation dust; the absolute floor keeps
+        # higher-grade dust out too.  Grades rise strictly and stop at
+        # n, so the loop ends after at most n corrections.
+        done = trace[-1] if trace else 0
+        live = [(m.bit_count(), m, c) for m, c in zip(*value._tuples())
+                if m.bit_count() > done and abs(c) > tol.prune_eps * scale]
+        if not live:
             break
-        m = rho.min_grade()
-        trace.append(m)
-        xi = rho.grade_part(m).scale(1.0 / g0)
-        lam = lam - xi
-        prev_grade = m
-        iterations += 1
-    else:
-        residual = phi.eval(lam).max_abs()
+        g = min(live)[0]
+        trace.append(g)
+        masks, coefs = zip(*[(m, c) for k, m, c in live if k == g])
+        lam = lam - _raw(phi.n, masks, coefs).scale(1.0 / g0)
+    residual = value.max_abs()
     if residual > tol.eq_eps * scale:
         raise RootFindingFailed(
             "grade-by-grade correction stalled above eq_eps",
@@ -356,7 +360,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     return SpectralZero(
         zero=lam,
         seed=ScalarRoot(lam0, 1, True),
-        iterations=iterations,
+        iterations=len(trace),
         residual=float(residual),
         grade_trace=tuple(trace),
     )

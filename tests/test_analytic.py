@@ -300,6 +300,30 @@ class TestPreimage:
         z = preimage(e, w, 0.0)
         assert e.eval(z).isclose(w, eps=1e-9)
 
+    def test_seed_polish_stops_at_rounding(self, monkeypatch):
+        # the lift polishes its seed on the scalar projection of log's
+        # polynomial form, where the Horner residual is rounding noise;
+        # Newton stops there instead of running all 80 rounds
+        import zeon.solve
+
+        newton = zeon.solve._newton
+        rounds = []
+
+        def counted(f, fp, z):
+            calls = []
+            try:
+                return newton(lambda x: calls.append(x) or f(x), fp, z)
+            finally:
+                rounds.append(len(calls))
+
+        monkeypatch.setattr(zeon.solve, "_newton", counted)
+        lam = Zeon(4, {(): 2.5, (1,): 0.5, (2,): 0.25})
+        e = ext("log", 4)
+        back = preimage(e, e.eval(lam), 2.5)
+        assert back.isclose(lam, eps=1e-12)
+        # the preimage's own seed refinement, then the lift's polish
+        assert len(rounds) == 2 and max(rounds) <= 5
+
     def test_no_scalar_preimage(self):
         # a real seed keeps Newton for sin(z) = 1.2 on the real line,
         # where no preimage exists; the iteration never settles

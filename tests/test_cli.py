@@ -510,49 +510,46 @@ class TestFileInput:
 class TestTolerance:
     MARGINAL = "1e-8 + z{1}"
 
-    def test_builtin_accepts(self, monkeypatch):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_builtin_accepts(self):
         code, _, _ = run("inv", "--n", "1", self.MARGINAL)
         assert code == 0
 
-    def test_flag_overrides_builtin(self, monkeypatch):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_flag_overrides_builtin(self):
         code, _, err = run("inv", "--n", "1", "--tol", "1e-6", self.MARGINAL)
         assert code == 2
         assert error_name(err) == "NotInvertible"
 
-    def test_env_overrides_builtin(self, monkeypatch):
-        monkeypatch.setenv("ZEON_TOL", "1e-6")
-        code, _, err = run("inv", "--n", "1", self.MARGINAL)
+    def test_config_overrides_builtin(self, tmp_path):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("# coarse equality\neq_eps = 1e-6\n")
+        code, _, err = run("inv", "--n", "1", "--config", str(cfg),
+                           self.MARGINAL)
         assert code == 2
         assert error_name(err) == "NotInvertible"
 
-    def test_config_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("ZEON_TOL", "1e-6")
-        cfg = tmp_path / "tol.cfg"
-        cfg.write_text("# loose pruning, strict equality\neq_eps = 1e-12\n")
-        code, _, _ = run("inv", "--n", "1", "--config", str(cfg),
-                         self.MARGINAL)
-        assert code == 0
+    def test_environment_sets_no_tolerance(self, monkeypatch):
+        # the tolerance comes from --tol and --config alone
+        want = run("inv", "--n", "1", self.MARGINAL)
+        assert want[0] == 0
+        for value in ("1e-6", "tight"):
+            monkeypatch.setenv("ZEON_TOL", value)
+            assert run("inv", "--n", "1", self.MARGINAL) == want
 
-    def test_flag_overrides_config(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("eq_eps = 1e-12\n")
         code, _, err = run("inv", "--n", "1", "--config", str(cfg),
                            "--tol", "1e-6", self.MARGINAL)
         assert code == 2
 
-    def test_config_all_keys(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_config_all_keys(self, tmp_path):
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("prune_eps = 1e-14\neq_eps = 1e-9\n"
                        "root_eps = 1e-10\ncluster_eps = 1e-7\n")
         code, _, _ = run("inv", "--n", "1", "--config", str(cfg), "1")
         assert code == 0
 
-    def test_bad_config_entry(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_bad_config_entry(self, tmp_path):
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("bogus = 3\n")
         code, _, err = run("inv", "--n", "1", "--config", str(cfg), "1")
@@ -561,9 +558,8 @@ class TestTolerance:
 
     @pytest.mark.parametrize("entry", ["prune_eps = abc",
                                        "eq_eps = 1e-3 # c", "root_eps ="])
-    def test_non_numeric_config_value(self, monkeypatch, tmp_path, entry):
+    def test_non_numeric_config_value(self, tmp_path, entry):
         # reported like an unknown key: where, and the line as written
-        monkeypatch.delenv("ZEON_TOL", raising=False)
         cfg = tmp_path / "tol.cfg"
         cfg.write_text(f"# header\n{entry}\n")
         code, out, err = run("inv", "--n", "1", "--config", str(cfg), "1")
@@ -583,8 +579,7 @@ class TestTolerance:
         cfg.write_text("prune_eps = 1e-3\neq_eps = 1e-2\n")
         return cfg
 
-    def test_config_prune_eps_applies(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_config_prune_eps_applies(self, tmp_path):
         before = default_tolerance()
         code, out, err = run("inv", "--n", "2", "--config",
                              str(self.coarse_config(tmp_path)), self.DUST)
@@ -593,9 +588,7 @@ class TestTolerance:
         code, out, _ = run("inv", "--n", "2", self.DUST)
         assert (code, out) == (0, self.KEPT + "\n")
 
-    def test_config_does_not_leak_to_next_batch_line(self, monkeypatch,
-                                                      tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_config_does_not_leak_to_next_batch_line(self, tmp_path):
         f = tmp_path / "cmds.txt"
         f.write_text(
             f'inv --n 2 --config {self.coarse_config(tmp_path)} "{self.DUST}"\n'
@@ -604,18 +597,11 @@ class TestTolerance:
         assert (code, err) == (0, "")
         assert out.splitlines() == [self.PRUNED, self.KEPT]
 
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("ZEON_TOL", "tight")
-        code, _, err = run("inv", "--n", "1", "1")
-        assert code == 1
-        assert error_name(err) == "ParseError"
-
     # (u - 1)(u - 1.00001): two simple roots 1e-5 apart, or one double
     # root when cluster_eps is wider than their distance
     NEAR_DOUBLE = "1.00001; -2.00001; 1"
 
-    def test_config_cluster_eps_applies(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("ZEON_TOL", raising=False)
+    def test_config_cluster_eps_applies(self, tmp_path):
         cfg = tmp_path / "cluster.cfg"
         cfg.write_text("cluster_eps = 1e-3\n")
         code, out, err = run("solve", "--n", "1", "--config", str(cfg),
@@ -629,10 +615,9 @@ class TestTolerance:
         spectrum = json.loads(out)["scalar_spectrum"]
         assert [r["multiplicity"] for r in spectrum] == [1, 1]
 
-    def test_config_nan_cluster_eps_rejected(self, monkeypatch, tmp_path):
+    def test_config_nan_cluster_eps_rejected(self, tmp_path):
         # a nan cluster_eps would merge no approximations and report
         # (u-1)**2 as two simple roots
-        monkeypatch.delenv("ZEON_TOL", raising=False)
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("cluster_eps = nan\n")
         code, out, err = run("solve", "--n", "1", "--config", str(cfg),
@@ -640,18 +625,16 @@ class TestTolerance:
         assert (code, out) == (1, "")
         assert error_name(err) == "ParseError"
 
-    def test_one_tolerance_reaches_every_handler(self, monkeypatch,
-                                                 tmp_path):
+    def test_one_tolerance_reaches_every_handler(self, tmp_path):
         import inspect
 
         from zeon import Tolerance
         from zeon.cli import _COMMANDS, _build_parser, _resolve_tolerance
 
-        monkeypatch.setenv("ZEON_TOL", "1e-8")
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("root_eps = 1e-9\ncluster_eps = 1e-4\n")
         ns = _build_parser().parse_args(
-            ["inv", "--n", "1", "--config", str(cfg), "1"])
+            ["inv", "--n", "1", "--tol", "1e-8", "--config", str(cfg), "1"])
         assert _resolve_tolerance(ns) == Tolerance(
             eq_eps=1e-8, root_eps=1e-9, cluster_eps=1e-4)
         for handler in _COMMANDS.values():
@@ -835,6 +818,15 @@ class TestBatch:
         assert out == "1 - z{1}\n"
         errors = [json.loads(line)["error"] for line in err.splitlines()]
         assert errors == ["NotInvertible", "UsageError"]
+
+    def test_help_line_does_not_end_the_batch(self, tmp_path, capsys):
+        # argparse ends a --help line with SystemExit(0)
+        f = tmp_path / "cmds.txt"
+        f.write_text('inv --help\ninv --n 1 "1 + z{1}"\n')
+        assert main(["--batch", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: zeon inv")
+        assert out.endswith("\n1 - z{1}\n")
 
     def test_nested_batch_rejected(self, tmp_path):
         inner = tmp_path / "inner.txt"

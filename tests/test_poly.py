@@ -462,7 +462,7 @@ class TestNilpotentSqrt:
 
     def test_square_corpus(self):
         # 432 squares v*v of 2-5 random blades of grade 1-3 at n = 4-8;
-        # these five are not rooted, and every other one is, to rounding
+        # only 229 is not rooted, and every other one is, to rounding
         missed = []
         for i, w in enumerate(square_corpus()):
             try:
@@ -473,7 +473,7 @@ class TestNilpotentSqrt:
             want = to_dense(w)
             got = dense_mul(to_dense(v), to_dense(v))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert set(missed) <= {34, 170, 219, 229, 318}
+        assert set(missed) <= {229}
 
 
 def random_blades(rng, n, count, grades):

@@ -74,6 +74,14 @@ class TestScalarRoots:
         roots = scalar_roots([1.0, 0.0, 1.0])
         assert [r.value for r in roots] == pytest.approx([-1j, 1j])
 
+    def test_zero_top_coefficient_lowers_degree(self):
+        (r,) = scalar_roots([1, -1, 0])
+        assert (r.value, r.multiplicity) == (1, 1)
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            scalar_roots([math.nan, 1])
+
     def test_double_root(self):
         roots = scalar_roots([4.0, -4.0, 1.0])
         assert len(roots) == 1
