@@ -14,6 +14,14 @@ a stable argsort and ``np.add.reduceat``.  Every path drops output terms
 at or below ``prune`` in magnitude and raises ``NonFiniteResult`` on a
 non-finite coefficient, on either form the one report of an overflow.
 
+The product takes an optional canonical addend, so that Horner steps,
+division updates and polynomial products (``addend + a * b``) build one
+element, not three.  ``dict_mul`` seeds its accumulator with the
+addend's terms, and ``mul_terms`` hands them on to it on its dict path
+and puts them before the product's pairs ahead of its one ``_combine``
+on its array path.  Either way the addend's coefficient comes first in
+each sum, and every output coefficient is pruned once, after the sum.
+
 numpy is imported on the first access to an array kernel (``to_arrays``,
 ``combine_terms``, ``add_terms``, ``mul_terms``, ``scale_terms``), which
 the module ``__getattr__`` (PEP 562) turns into binding all of them
@@ -117,10 +125,11 @@ def dict_sum(masks, coefs, prune: float):
     return keep_terms(sorted(acc.items()), prune)
 
 
-def dict_mul(ia, ca, ib, cb, prune: float):
-    """Blade product of two canonical term sequences, as canonical lists."""
+def dict_mul(ia, ca, ib, cb, prune: float, ic=(), cc=()):
+    """Blade product of two canonical term sequences plus the canonical
+    addend ``(ic, cc)``, as canonical lists."""
     right = list(zip(ib, cb))
-    acc: dict = {}
+    acc = dict(zip(ic, cc)) if ic else {}
     for a, x in zip(ia, ca):
         for b, y in right:
             if not a & b:
@@ -174,8 +183,9 @@ def _add_terms(ia, ca, ib, cb, prune: float):
                          prune)
 
 
-def _mul_terms(ia, ca, ib, cb, prune: float):
-    """Blade product of two canonical term arrays.
+def _mul_terms(ia, ca, ib, cb, prune: float, ic=None, cc=None):
+    """Blade product of two canonical term arrays, plus the canonical
+    addend arrays ``(ic, cc)`` when given.
 
     Pairs whose masks intersect annihilate; survivors land on the union
     mask.  Up to ``SMALL_PAIRS`` pairs are summed in a dict; above that
@@ -183,11 +193,15 @@ def _mul_terms(ia, ca, ib, cb, prune: float):
     this algebra admits (at most 2**n terms per operand).
     """
     if ia.size * ib.size <= SMALL_PAIRS:
+        extra = () if ic is None else (ic.tolist(), cc.tolist())
         return to_arrays(*dict_mul(ia.tolist(), ca.tolist(), ib.tolist(),
-                                   cb.tolist(), prune))
+                                   cb.tolist(), prune, *extra))
     keep = (ia[:, None] & ib[None, :]) == 0
     masks = (ia[:, None] | ib[None, :])[keep]
     vals = (ca[:, None] * cb[None, :])[keep]
+    if ic is not None:
+        masks = np.concatenate([ic, masks])
+        vals = np.concatenate([cc, vals])
     return _combine(masks, vals, prune)
 
 

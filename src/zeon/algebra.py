@@ -28,7 +28,7 @@ import contextvars
 import itertools
 import math
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 from . import _backend
 from ._backend import dict_mul, dict_sum, keep_terms, pack
@@ -171,7 +171,7 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
-ZeonLike = Union["Zeon", complex, float, int]
+ZeonLike = "Zeon | complex | float | int"
 
 
 class Zeon:
@@ -336,17 +336,27 @@ class Zeon:
                                                   prune))
 
     def mul(self, other: "Zeon") -> "Zeon":
+        return self.mul_add(other, None)
+
+    def mul_add(self, other: "Zeon", addend: "Zeon | None") -> "Zeon":
+        """``addend + self * other`` in one kernel call, each output
+        coefficient pruned once after the sum; ``None`` adds nothing."""
         self._check_same_algebra(other)
+        terms = ()  # the addend's (masks, coefficients), if any
+        if addend is not None:
+            self._check_same_algebra(addend)
+            terms = (addend._idx, addend._coef)
         prune = _context.get().prune_eps
         a, b = self._idx, other._idx
         if (type(a) is tuple and type(b) is tuple
+                and (addend is None or type(addend._idx) is tuple)
                 and len(a) * len(b) <= _backend.SMALL_PAIRS):
             return _raw(self.n, *dict_mul(a, self._coef, b, other._coef,
-                                          prune))
+                                          prune, *terms))
         to_arrays = _backend.to_arrays
         return _raw(self.n, *_backend.mul_terms(
-            *to_arrays(self._idx, self._coef),
-            *to_arrays(other._idx, other._coef), prune))
+            *to_arrays(a, self._coef), *to_arrays(b, other._coef), prune,
+            *(to_arrays(*terms) if terms else ())))
 
     def power(self, k: int) -> "Zeon":
         """``k``-th power, ``k >= 0``, by binary exponentiation."""

@@ -25,7 +25,7 @@ import cmath
 import math
 import re
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .algebra import Zeon, _taylor_sum, default_tolerance
 from .errors import (

@@ -40,10 +40,10 @@ import functools
 import json
 import shlex
 import sys
+from collections.abc import Callable
 from enum import Enum
-from io import StringIO
+from io import StringIO, TextIOBase
 from pathlib import Path
-from typing import Any, Callable, TextIO
 
 from .algebra import Tolerance, Zeon, kth_roots, tolerance
 from .errors import ZeonError
@@ -190,7 +190,7 @@ def _resolve_tolerance(ns: argparse.Namespace) -> Tolerance:
 # -- output plumbing ---------------------------------------------------------
 
 
-def _encode(obj: Any, as_json: bool) -> Any:
+def _encode(obj: object, as_json: bool) -> object:
     """``obj`` as JSON data: elements and polynomials as their dicts
     (``as_json``) or text, records as ``{field: value}`` in field order."""
     if isinstance(obj, Zeon):
@@ -210,7 +210,7 @@ def _encode(obj: Any, as_json: bool) -> Any:
     return obj
 
 
-def _emit(result: Any, ns: argparse.Namespace, out: TextIO) -> int:
+def _emit(result: object, ns: argparse.Namespace, out: TextIOBase) -> int:
     """Print ``result`` by the output rule and return exit code 0."""
     items = result if isinstance(result, (list, tuple)) else (result,)
     if ns.json or not all(isinstance(x, (Zeon, ZeonPoly)) for x in items):
@@ -221,7 +221,7 @@ def _emit(result: Any, ns: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _fail(err: TextIO, name: str, message: str, code: int = 1) -> int:
+def _fail(err: TextIOBase, name: str, message: str, code: int = 1) -> int:
     """Write the one-line JSON diagnostic and return the exit code."""
     print(json.dumps({"error": name, "message": message}), file=err)
     return code
@@ -324,7 +324,7 @@ def _cmd_preimage(ns, out, err) -> int:
 # -- dispatch ----------------------------------------------------------------
 
 
-def _dispatch(argv: list[str], out: TextIO, err: TextIO,
+def _dispatch(argv: list[str], out: TextIOBase, err: TextIOBase,
               in_batch: bool = False) -> int:
     parser = _build_parser()
     try:
@@ -351,7 +351,7 @@ def _dispatch(argv: list[str], out: TextIO, err: TextIO,
         return _fail(err, "ParseError", str(exc))
 
 
-def _run_batch(path: str, out: TextIO, err: TextIO) -> int:
+def _run_batch(path: str, out: TextIOBase, err: TextIOBase) -> int:
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:

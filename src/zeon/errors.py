@@ -7,8 +7,6 @@ so renaming a class here is a breaking change.
 
 from __future__ import annotations
 
-from typing import Any
-
 __all__ = [
     "ZeonError",
     "DimensionMismatch",
@@ -65,7 +63,7 @@ class RootFindingFailed(ZeonError):
     failure was raised, or ``None``.
     """
 
-    def __init__(self, message: str, partial: Any = None):
+    def __init__(self, message: str, partial: object = None):
         super().__init__(message)
         self.partial = partial
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 import cmath
 import itertools
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     Tolerance,
@@ -159,7 +159,7 @@ class ZeonPoly:
             )
         acc = self.coeffs[-1] if self.coeffs else Zeon.zero(self.n)
         for c in self.coeffs[-2::-1]:
-            acc = acc.mul(point).add(c)
+            acc = acc.mul_add(point, c)
         return acc
 
     __call__ = eval
@@ -219,7 +219,7 @@ class ZeonPoly:
             out = [Zeon.zero(self.n)] * (self.degree + other.degree + 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j].add(a.mul(b))
+                    out[i + j] = a.mul_add(b, out[i + j])
             return ZeonPoly(out, n=self.n)
         factor = _coerce(other, self.n)
         return ZeonPoly([c.mul(factor) for c in self.coeffs], n=self.n)
@@ -279,8 +279,9 @@ def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
         shift = len(rem) - 1 - dpsi
         factor = rem[-1].mul(lead_inv)
         quot[shift] = factor
+        neg = factor.scale(-1.0)
         for j in range(dpsi):
-            rem[shift + j] = rem[shift + j] - psi.coeffs[j].mul(factor)
+            rem[shift + j] = psi.coeffs[j].mul_add(neg, rem[shift + j])
         rem.pop()
         while rem and rem[-1].is_zero():
             rem.pop()
@@ -293,13 +294,11 @@ def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
 def remainder_at(phi: ZeonPoly, z: ZeonLike) -> Zeon:
     """Remainder of ``phi`` on division by ``(u - z)``.
 
-    Equals ``phi(z)``; the explicit division form is kept as an
-    independent route for consistency checks.
+    By the remainder theorem this is ``phi(z)``, and synthetic division
+    by the monic ``u - z`` performs Horner's steps, so it is computed
+    as :meth:`ZeonPoly.eval`.
     """
-    point = _coerce(z, phi.n)
-    linear = ZeonPoly([point.scale(-1.0), Zeon.one(phi.n)], n=phi.n)
-    rem = divide(phi, linear).remainder
-    return rem.coeff(0)
+    return phi.eval(z)
 
 
 def discriminant(alpha: Zeon, beta: Zeon, gamma: Zeon) -> Zeon:

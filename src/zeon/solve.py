@@ -22,9 +22,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import partial
-from typing import Callable, Sequence
 
 from .algebra import Tolerance, Zeon, _raw, default_tolerance
 from .errors import (

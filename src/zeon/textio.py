@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any
 
 from .algebra import MAX_GENERATORS, Zeon, indices_to_mask
 from .poly import ZeonPoly
@@ -207,7 +206,7 @@ def parse_poly(text: str, n: int) -> ZeonPoly:
 # -- JSON ---------------------------------------------------------------------
 
 
-def _terms_to_json(u: Zeon) -> list[dict[str, Any]]:
+def _terms_to_json(u: Zeon) -> list[dict[str, object]]:
     return [
         {"index": list(indices), "re": c.real, "im": c.imag}
         for indices, c in u.terms()
@@ -215,7 +214,7 @@ def _terms_to_json(u: Zeon) -> list[dict[str, Any]]:
 
 
 def _terms_from_json(
-    terms: Any, n: int, where: str
+    terms: object, n: int, where: str
 ) -> list[tuple[tuple[int, ...], complex]]:
     if not isinstance(terms, list):
         raise ValueError(f"{where}: 'terms' must be a list")
@@ -256,7 +255,7 @@ def _terms_from_json(
     return out
 
 
-def _check_n(obj: Any, where: str) -> int:
+def _check_n(obj: object, where: str) -> int:
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object")
     if "n" not in obj:
@@ -268,11 +267,11 @@ def _check_n(obj: Any, where: str) -> int:
     return n
 
 
-def zeon_to_dict(u: Zeon) -> dict[str, Any]:
+def zeon_to_dict(u: Zeon) -> dict[str, object]:
     return {"n": u.n, "terms": _terms_to_json(u)}
 
 
-def zeon_from_dict(obj: Any) -> Zeon:
+def zeon_from_dict(obj: object) -> Zeon:
     n = _check_n(obj, "element")
     extra = set(obj) - {"n", "terms"}
     if extra:
@@ -290,11 +289,11 @@ def zeon_from_json(text: str) -> Zeon:
     return zeon_from_dict(json.loads(text))
 
 
-def poly_to_dict(p: ZeonPoly) -> dict[str, Any]:
+def poly_to_dict(p: ZeonPoly) -> dict[str, object]:
     return {"n": p.n, "coeffs": [_terms_to_json(c) for c in p.coeffs]}
 
 
-def poly_from_dict(obj: Any) -> ZeonPoly:
+def poly_from_dict(obj: object) -> ZeonPoly:
     n = _check_n(obj, "polynomial")
     extra = set(obj) - {"n", "coeffs"}
     if extra:

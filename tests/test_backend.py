@@ -1,11 +1,14 @@
 """The term kernels against the dense oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_zeon, to_dense
 from oracle import dense_from_terms, dense_mul
-from zeon import NonFiniteResult, Zeon, ZeonError, backend_name
+from zeon import (DimensionMismatch, NonFiniteResult, Tolerance, Zeon,
+                  ZeonError, backend_name, tolerance)
 from zeon import _backend
 from zeon._backend import add_terms, combine_terms, mul_terms
 
@@ -300,3 +303,112 @@ class TestStorageForms:
         assert np.array_equal(to_dense(want[3]), da + db)
         assert np.array_equal(to_dense(want[8]), dense_mul(dc, dc))
         assert np.array_equal(to_dense(a), dense_from_terms(n, a.terms()))
+
+
+def zeon_of(n: int, masks, coefs) -> Zeon:
+    return Zeon(n, [(indices_of(int(m)), complex(c))
+                    for m, c in zip(masks, coefs)])
+
+
+class TestFusedProduct:
+    """``addend + a * b`` in one kernel call, against the dense oracle."""
+
+    # (left, right, addend) term counts: pairs 12 and 90 at or below
+    # SMALL_PAIRS, 100 and 256 above it; addends on either side of
+    # SMALL_TERMS
+    SIZES = [(3, 4, 5), (9, 10, 8), (10, 10, 12), (16, 16, 40), (3, 4, 40)]
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_kernel_matches_oracle(self, rng, path, sizes):
+        for _ in range(5):
+            ia, ca = canonical(rng, N, sizes[0])
+            ib, cb = canonical(rng, N, sizes[1])
+            ic, cc = canonical(rng, N, sizes[2])
+            want = (dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
+                    + dense_of(N, ic, cc))
+            for prune in (0.0, 0.5):
+                assert_matches(mul_terms(ia, ca, ib, cb, prune, ic, cc),
+                               want, prune)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_element_matches_oracle(self, rng, path, sizes):
+        for _ in range(5):
+            a, b, c = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
+            want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+            assert_matches(arrays_of(a.mul_add(b, c)), want, 1e-14)
+
+    def test_small_product_with_wide_addend(self, rng):
+        # no forcing: tuple factors, an array addend
+        a, b = (zeon_of(N, *canonical(rng, N, 3)) for _ in range(2))
+        c = zeon_of(N, *canonical(rng, N, 40))
+        assert len(c.terms()) > _backend.SMALL_TERMS
+        want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+        assert_matches(arrays_of(a.mul_add(b, c)), want, 1e-14)
+
+    def test_exact_cancellation(self, rng, path):
+        # dyadic coefficients: every partial sum is exact
+        for size in (3, 12):
+            a, b = dyadic_zeon(rng, 6, size), dyadic_zeon(rng, 6, size)
+            assert a.mul_add(b, (a * b).scale(-1.0)).is_zero()
+        u, v = Zeon(2, {(1,): 1, (2,): 1}), Zeon(2, {(1,): 1, (2,): -1})
+        assert u.mul_add(v, Zeon.zero(2)).is_zero()
+
+    def test_sum_exactly_at_prune_is_dropped(self, path):
+        prune = 2.0 ** -10
+        with tolerance(Tolerance(prune_eps=prune, eq_eps=prune)):
+            a, b = Zeon(2, {(1,): 2.0 ** -5}), Zeon(2, {(2,): 2.0 ** -6})
+            # the product alone, 2**-11, is at or below prune ...
+            assert (a * b).is_zero()
+            # ... and counts once the addend joins: pruned once, after
+            lifted = a.mul_add(b, Zeon(2, {(1, 2): 1.5 * prune}))
+            assert lifted.terms() == [((1, 2), 2 * prune)]
+            # a sum exactly at prune is dropped
+            at = a.mul_add(b.scale(-1.0), Zeon(2, {(1, 2): 1.5 * prune}))
+            assert at.is_zero()
+        one = np.array([1], dtype=np.uint64)
+        two = np.array([2], dtype=np.uint64)
+        three = np.array([3], dtype=np.uint64)
+        m, c = mul_terms(one, np.array([0.5 + 0j]), two,
+                         np.array([-prune + 0j]), prune, three,
+                         np.array([1.5 * prune + 0j]))
+        assert m.size == 0 and c.size == 0
+
+    def test_overflow_raises_on_either_form(self, path):
+        huge = Zeon(2, {(): 1e200, (1,): 1e200})
+        big = Zeon(2, {(): 1e308, (2,): 1.0})
+        one = Zeon.one(2)
+        # an overflowing product, then finite products whose sum with
+        # the addend overflows
+        for result in (lambda: huge.mul_add(huge, one),
+                       lambda: big.mul_add(one, big),
+                       lambda: one.mul_add(big, big)):
+            with pytest.raises(NonFiniteResult):
+                result()
+
+    def test_addend_from_another_algebra(self, path):
+        u = Zeon(2, {(): 1, (1,): 2})
+        with pytest.raises(DimensionMismatch):
+            u.mul_add(u, Zeon.one(3))
+        with pytest.raises(DimensionMismatch):
+            u.mul_add(Zeon.one(3), u)
+
+    # sha256 prefixes of ``repr(a.mul(b).terms())``, pinned from the
+    # product without an addend.  Every product sums three or more pairs
+    # on some mask, so any change to the order of those sums changes
+    # them.  Keys: n, then the operands' term counts, 88 pairs (dict
+    # path) and 100 and 256 (array path).
+    PINNED = {(4, 8, 11): "3a2eb81ebc47fda1",
+              (8, 10, 10): "e2c250d9aa631184",
+              (8, 16, 16): "dcc213dd8ef105fb"}
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_product_without_addend_is_unchanged(self, key):
+        n, *sizes = key
+        gen = np.random.default_rng(20211)
+        # blades of grade <= 2 only, so the pairs collide often
+        low = [m for m in range(1 << n) if bin(m).count("1") <= 2]
+        a, b = (zeon_of(n, np.sort(gen.choice(low, size=k, replace=False)),
+                        gen.normal(size=k) + 1j * gen.normal(size=k))
+                for k in sizes)
+        got = repr(a.mul(b).terms()).encode()
+        assert hashlib.sha256(got).hexdigest()[:16] == self.PINNED[key]

@@ -293,7 +293,8 @@ class TestDivide:
     def test_remainder_at_equals_eval(self, rng):
         p = ZeonPoly([random_zeon(rng, 3) for _ in range(4)], n=3)
         z = random_zeon(rng, 3)
-        assert remainder_at(p, z).isclose(p.eval(z))
+        want = dense_poly_eval([to_dense(c) for c in p.coeffs], to_dense(z))
+        assert np.abs(to_dense(remainder_at(p, z)) - want).max() <= 1e-9
 
     def test_remainder_at_known_value(self):
         # u^2 at 1+z1 -> 1 + 2 z1
