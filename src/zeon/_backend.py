@@ -9,10 +9,17 @@ more than the arithmetic, so ``dict_mul`` and ``dict_sum`` work on them
 as they are.  The array kernels take and return arrays and run once an
 operand is wide; they too send a product of at most ``SMALL_PAIRS``
 pairs, or a sum or canonicalisation of at most ``SMALL_TERMS`` terms,
-through the dict helpers, and larger ones through the outer product or
-a stable argsort and ``np.add.reduceat``.  Every path drops output terms
-at or below ``prune`` in magnitude and raises ``NonFiniteResult`` on a
-non-finite coefficient, on either form the one report of an overflow.
+through the dict helpers.  Larger ones run a stable argsort and
+``np.add.reduceat``.  A wide product first forms only its disjoint pairs
+(z{I} z{J} = z{I u J} when I and J are disjoint, else 0), which one
+outer AND finds: at n = 9 to 11 with random blades that is 4-7% of them.
+Its AND, unions and sort key run in the narrowest unsigned dtype that
+holds its masks, so at n <= 16 the stable argsort is numpy's radix sort.
+A sum or canonicalisation sorts its uint64 masks as they are; a sum's
+come as two sorted runs, which timsort merges in linear time.  Every
+path drops output terms at or below ``prune`` in magnitude and raises
+``NonFiniteResult`` on a non-finite coefficient, on either form the one
+report of an overflow.
 
 The product takes an optional canonical addend, so that Horner steps,
 division updates and polynomial products (``addend + a * b``) build one
@@ -31,13 +38,16 @@ kernel operand.
 
 The thresholds sit at crossovers measured on random canonical operands
 (n = 8 to 11, 2 CPUs, numpy 2.4).  On tuple operands the dict product
-costs 0.4-0.5x the numpy one (conversions included) up to 256 pairs
-when one pair in ten is disjoint, breaks even near 100-120 pairs at one
-in three (the typical share in products of sparse elements), and costs
-1.3x at 96 pairs when two in three are.  The dict sum of two small
-elements costs 0.6-0.7x the numpy one up to 16 + 16 terms.  Whole
-passes of the benchmark's sparse workload ran within their spread at
-any ``SMALL_PAIRS`` from 64 to 256 and ``SMALL_TERMS`` from 12 to 32.
+costs 0.4-0.55x the numpy one (conversions included) up to 144 pairs
+when one pair in ten is disjoint, and 0.9x at 256; it breaks even near
+110-120 pairs at one in three (the typical share in products of sparse
+elements), and costs 1.3x at 96 pairs when two in three are.  At these
+sizes the numpy product pays for its calls more than for its pairs, and
+forming only the disjoint pairs moved these ratios by under 5%.  The
+dict sum of two small elements costs 0.6-0.7x the numpy one up to
+16 + 16 terms.  Whole passes of the benchmark's sparse workload ran
+within their spread at any ``SMALL_PAIRS`` from 64 to 256 and
+``SMALL_TERMS`` from 12 to 32.
 """
 
 from __future__ import annotations
@@ -161,7 +171,9 @@ def _combine(masks: np.ndarray, coefs: np.ndarray, prune: float):
     """Canonicalise raw (mask, coefficient) pairs.
 
     Sorts by mask, merges duplicates by summing, and drops entries whose
-    magnitude ends up at or below ``prune``.
+    magnitude ends up at or below ``prune``.  The masks may come in any
+    unsigned dtype (numpy's stable argsort is a radix sort at 16 bits or
+    fewer) and go back as uint64.
     """
     if masks.size <= SMALL_TERMS:
         return to_arrays(*dict_sum(masks.tolist(), coefs.tolist(), prune))
@@ -174,7 +186,7 @@ def _combine(masks: np.ndarray, coefs: np.ndarray, prune: float):
     starts = first.nonzero()[0]
     sums = np.add.reduceat(v, starts)
     keep = keep_mask(sums, prune)
-    return m[starts][keep], sums[keep]
+    return m[starts[keep]].astype(np.uint64, copy=False), sums[keep]
 
 
 def _add_terms(ia, ca, ib, cb, prune: float):
@@ -188,19 +200,33 @@ def _mul_terms(ia, ca, ib, cb, prune: float, ic=None, cc=None):
     addend arrays ``(ic, cc)`` when given.
 
     Pairs whose masks intersect annihilate; survivors land on the union
-    mask.  Up to ``SMALL_PAIRS`` pairs are summed in a dict; above that
-    the full outer product is materialised, which is fine at the sizes
-    this algebra admits (at most 2**n terms per operand).
+    mask.  Up to ``SMALL_PAIRS`` pairs are summed in a dict.  Above
+    that, one outer AND finds the disjoint pairs and only those are
+    formed, row by row after the addend's terms.  The AND, the unions
+    and the sort key run in the narrowest unsigned dtype that holds the
+    operands' masks.
     """
     if ia.size * ib.size <= SMALL_PAIRS:
         extra = () if ic is None else (ic.tolist(), cc.tolist())
         return to_arrays(*dict_mul(ia.tolist(), ca.tolist(), ib.tolist(),
                                    cb.tolist(), prune, *extra))
-    keep = (ia[:, None] & ib[None, :]) == 0
-    masks = (ia[:, None] | ib[None, :])[keep]
-    vals = (ca[:, None] * cb[None, :])[keep]
+    # masks ascend, so the last ones are the widest
+    top = ia.item(-1) | ib.item(-1)
+    if ic is not None and ic.size:
+        top |= ic.item(-1)
+    # the narrowest unsigned dtype that holds them; a fifth of a
+    # microsecond faster than ``np.min_scalar_type(top)``
+    key = (np.uint8 if top < 0x100 else np.uint16 if top < 0x10000
+           else np.uint32 if top < 0x100000000 else np.uint64)
+    a = ia.astype(key, copy=False)
+    b = ib.astype(key, copy=False)
+    # flat (row-major) indices of the disjoint pairs
+    k = np.logical_not(a[:, None] & b).ravel().nonzero()[0]
+    i, j = divmod(k, b.size)
+    masks = a[i] | b[j]
+    vals = ca[i] * cb[j]
     if ic is not None:
-        masks = np.concatenate([ic, masks])
+        masks = np.concatenate([ic, masks], dtype=key)
         vals = np.concatenate([cc, vals])
     return _combine(masks, vals, prune)
 

@@ -115,3 +115,19 @@ def dense_nilpotency_index(a: np.ndarray, eps: float = 1e-12) -> int:
         power = dense_mul(power, a)
         k += 1
     return None
+
+
+def sparse_mul(a: dict, b: dict) -> dict:
+    """Product of elements held as ``{frozenset of indices: coefficient}``.
+
+    Every pair of terms is visited: ``z_I z_J = z_{I u J}`` when ``I``
+    and ``J`` are disjoint, 0 otherwise.  Index sets instead of a dense
+    vector, so it runs at any n, where ``dense_mul`` needs ``2**n`` slots.
+    """
+    out: dict = {}
+    for left, x in a.items():
+        for right, y in b.items():
+            if not left & right:
+                union = left | right
+                out[union] = out.get(union, 0) + x * y
+    return out

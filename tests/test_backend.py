@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_zeon, to_dense
-from oracle import dense_from_terms, dense_mul
+from oracle import dense_from_terms, dense_mul, sparse_mul
 from zeon import (DimensionMismatch, NonFiniteResult, Tolerance, Zeon,
                   ZeonError, backend_name, tolerance)
 from zeon import _backend
@@ -412,3 +412,161 @@ class TestFusedProduct:
                 for k in sizes)
         got = repr(a.mul(b).terms()).encode()
         assert hashlib.sha256(got).hexdigest()[:16] == self.PINNED[key]
+
+
+def sparse_canonical(rng, bits: int, size: int):
+    """``size`` distinct ascending masks of grade 1 or 2 below bit
+    ``bits``, one of them holding bit ``bits - 1``; random coefficients."""
+    masks = {1 << (bits - 1)}
+    while len(masks) < size:
+        picked = rng.choice(bits, size=int(rng.integers(1, 3)), replace=False)
+        masks.add(sum(1 << int(b) for b in picked))
+    coefs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return np.array(sorted(masks), dtype=np.uint64), coefs
+
+
+def index_sets(masks, coefs) -> dict:
+    """Raw (mask, coefficient) pairs as ``{frozenset: coefficient}``,
+    duplicates summed."""
+    out: dict = {}
+    for m, c in zip(masks.tolist(), coefs.tolist()):
+        key = frozenset(indices_of(m))
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def plus(a: dict, b: dict) -> dict:
+    return {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+
+
+def assert_matches_sets(got, want: dict, prune: float) -> None:
+    """Like :func:`assert_matches`, against index-set terms."""
+    masks, coefs = got
+    assert masks.dtype == np.uint64 and coefs.dtype == np.complex128
+    expected = sorted((sum(1 << (i - 1) for i in k), c)
+                      for k, c in want.items() if abs(c) > prune)
+    assert masks.tolist() == [m for m, _ in expected]
+    scale = max([1.0] + [abs(c) for c in want.values()])
+    diff = np.abs(coefs - np.array([c for _, c in expected], dtype=complex))
+    assert diff.max(initial=0.0) < 1e-14 * scale
+
+
+class TestKeyWidths:
+    """The array product runs on masks narrowed to the smallest unsigned
+    dtype that holds them, and every kernel returns uint64 masks; results
+    at each width's edge, checked against the index-set oracle (a dense
+    one needs 2**n slots)."""
+
+    # the widest mask's bit count: either side of 8, 16 and 32 bits, and
+    # the full 64 that the kernels (not elements) accept
+    BITS = [8, 9, 16, 17, 32, 33, 64]
+
+    @pytest.fixture(autouse=True)
+    def wide(self, monkeypatch):
+        monkeypatch.setattr(_backend, "SMALL_PAIRS", 0)
+        monkeypatch.setattr(_backend, "SMALL_TERMS", 0)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_product(self, rng, bits):
+        for _ in range(3):
+            ia, ca = sparse_canonical(rng, bits, 16)
+            ib, cb = sparse_canonical(rng, bits, 12)
+            want = sparse_mul(index_sets(ia, ca), index_sets(ib, cb))
+            for prune in (0.0, 0.5):
+                assert_matches_sets(mul_terms(ia, ca, ib, cb, prune), want,
+                                    prune)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_product_with_addend(self, rng, bits):
+        ia, ca = sparse_canonical(rng, bits, 16)
+        ib, cb = sparse_canonical(rng, bits, 12)
+        ic, cc = sparse_canonical(rng, bits, 20)
+        want = plus(sparse_mul(index_sets(ia, ca), index_sets(ib, cb)),
+                    index_sets(ic, cc))
+        assert_matches_sets(mul_terms(ia, ca, ib, cb, 0.0, ic, cc), want, 0.0)
+
+    @pytest.mark.parametrize("bits", [9, 17, 33])
+    def test_addend_wider_than_the_factors(self, rng, bits):
+        # the factors fit the next narrower dtype, the addend's top mask
+        # does not: a width read off the factors would wrap it onto a
+        # low blade (bit 8 of 256 is 0 in uint8)
+        ia, ca = sparse_canonical(rng, bits - 1, 16)
+        ib, cb = sparse_canonical(rng, bits - 1, 12)
+        ic = np.array([0, 1, 1 << (bits - 1), (1 << (bits - 1)) | 1],
+                      dtype=np.uint64)
+        cc = np.array([1.0, 2j, 3.0, -4j])
+        want = plus(sparse_mul(index_sets(ia, ca), index_sets(ib, cb)),
+                    index_sets(ic, cc))
+        got = mul_terms(ia, ca, ib, cb, 0.0, ic, cc)
+        assert_matches_sets(got, want, 0.0)
+        assert got[0][-1] == (1 << (bits - 1)) | 1
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_combine(self, rng, bits):
+        # unsorted, mostly duplicates, the widest mask anywhere
+        pool, _ = sparse_canonical(rng, bits, 10)
+        masks = rng.choice(pool, size=60)
+        coefs = rng.normal(size=60) + 1j * rng.normal(size=60)
+        want = index_sets(masks, coefs)
+        for prune in (0.0, 0.5):
+            assert_matches_sets(combine_terms(masks, coefs, prune), want,
+                                prune)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_sum(self, rng, bits):
+        ia, ca = sparse_canonical(rng, bits, 20)
+        ib, cb = sparse_canonical(rng, bits - 1, 20)
+        want = plus(index_sets(ia, ca), index_sets(ib, cb))
+        for args in ((ia, ca, ib, cb), (ib, cb, ia, ca)):
+            assert_matches_sets(add_terms(*args, 0.0), want, 0.0)
+
+    @pytest.mark.parametrize("n", [9, 17, 32])
+    def test_stored_arrays(self, rng, n):
+        a, b, c = (zeon_of(n, *sparse_canonical(rng, n, k))
+                   for k in (16, 12, 20))
+        for u in (a * b, a.mul_add(b, c), a + c, Zeon(n, (a * b).terms())):
+            assert not u.is_zero()
+            for stored in (u._idx, u._coef):
+                assert isinstance(stored, np.ndarray)
+                assert not stored.flags.writeable
+            assert u._idx.dtype == np.uint64
+            assert u.support_masks()[-1] >> (n - 1) == 1
+
+
+class TestDenseShapes:
+    """Products and an inverse at the benchmark's dense shapes: random
+    blades of every grade, 4-7% of the pairs disjoint and many masks
+    summing three or more of them, so any change to the order of those
+    sums changes the sha256 prefixes of ``repr(result.terms())`` pinned
+    here."""
+
+    PINNED = {("mul", 10, 128, 128): "709f303ccf56e8e3",
+              ("mul", 11, 256, 256): "065d666439ec6bdd",
+              ("mul_add", 10, 128, 128, 128): "fd20baf987e57e3c",
+              ("inverse", 10, 128): "8d5304a161df8d59"}
+
+    @staticmethod
+    def draw(gen, n: int, size: int, scalar=None) -> Zeon:
+        """``size`` random blades; with ``scalar``, that scalar part and
+        ``size - 1`` blades of grade one or more."""
+        if scalar is None:
+            masks = gen.choice(1 << n, size=size, replace=False)
+        else:
+            masks = np.concatenate([[0], gen.choice(
+                np.arange(1, 1 << n), size=size - 1, replace=False)])
+        coefs = 0.2 * (gen.normal(size=size) + 1j * gen.normal(size=size))
+        if scalar is not None:
+            coefs[0] = scalar
+        return zeon_of(n, np.sort(masks), coefs)
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_result_is_unchanged(self, key):
+        op, n, *sizes = key
+        gen = np.random.default_rng(20211)
+        if op == "inverse":
+            got = self.draw(gen, n, sizes[0], scalar=1.5 - 0.5j).inverse()
+        else:
+            a, b, *c = (self.draw(gen, n, k) for k in sizes)
+            got = a.mul_add(b, c[0]) if c else a.mul(b)
+        digest = hashlib.sha256(repr(got.terms()).encode()).hexdigest()
+        assert digest[:16] == self.PINNED[key]
