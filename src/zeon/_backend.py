@@ -4,50 +4,44 @@ Terms are blade bitmasks (strictly ascending, unique) with complex
 coefficients.  :func:`pack` alone picks how an element holds them, from
 the count: up to ``SMALL_TERMS`` terms as tuples of Python ints and
 complexes, more as read-only uint64/complex128 arrays.  Small elements
-are the common case (a few terms, n <= 8), where a numpy call costs
-more than the arithmetic, so ``dict_mul`` and ``dict_sum`` work on them
-as they are.  The array kernels take and return arrays and run once an
-operand is wide; they too send a product of at most ``SMALL_PAIRS``
-pairs, or a sum or canonicalisation of at most ``SMALL_TERMS`` terms,
-through the dict helpers.  Larger ones run a stable argsort and
-``np.add.reduceat``.  A wide product first forms only its disjoint pairs
-(z{I} z{J} = z{I u J} when I and J are disjoint, else 0), which one
-outer AND finds: at n = 9 to 11 with random blades that is 4-7% of them.
-Its AND, unions and sort key run in the narrowest unsigned dtype that
-holds its masks, so at n <= 16 the stable argsort is numpy's radix sort.
-A sum or canonicalisation sorts its uint64 masks as they are; a sum's
-come as two sorted runs, which timsort merges in linear time.  Every
-path drops output terms at or below ``prune`` in magnitude and raises
-``NonFiniteResult`` on a non-finite coefficient, on either form the one
-report of an overflow.
+are the common case (a few terms, n <= 8), where a numpy call costs more
+than the arithmetic.  So ``Zeon.mul_add`` alone picks a product's
+kernel, from the pair count whatever the operands' forms: ``dict_mul``
+(arrays listed) up to ``SMALL_PAIRS`` pairs, ``mul_terms`` above.  A sum
+or canonicalisation of up to ``SMALL_TERMS`` terms runs ``dict_sum``,
+and a larger one a stable argsort and ``np.add.reduceat``.  A wide
+product forms only its disjoint pairs (z{I} z{J} = z{I u J} when I and
+J are disjoint, else 0), which one outer AND finds: at n = 9 to 11 with
+random blades that is 4-7% of them.  Its AND, unions and sort key run in
+the narrowest unsigned dtype that holds its masks, so at n <= 16 the
+stable argsort is numpy's radix sort.  A sum or canonicalisation sorts
+its uint64 masks as they are; a sum's come as two sorted runs, which
+timsort merges in linear time.  Every path drops output terms at or
+below ``prune`` in magnitude and raises ``NonFiniteResult`` on a
+non-finite coefficient, on either form the one report of an overflow.
 
 The product takes an optional canonical addend, so that Horner steps,
 division updates and polynomial products (``addend + a * b``) build one
-element, not three.  ``dict_mul`` seeds its accumulator with the
-addend's terms, and ``mul_terms`` hands them on to it on its dict path
-and puts them before the product's pairs ahead of its one ``_combine``
-on its array path.  Either way the addend's coefficient comes first in
-each sum, and every output coefficient is pruned once, after the sum.
+element, not three.  Both kernels put the addend's terms first
+(``dict_mul`` seeds its accumulator with them), so its coefficient
+comes first in each sum, and every output coefficient is pruned once,
+after the sum.
 
-numpy is imported on the first access to an array kernel (``to_arrays``,
-``combine_terms``, ``add_terms``, ``mul_terms``, ``scale_terms``), which
-the module ``__getattr__`` (PEP 562) turns into binding all of them
-here; later calls find them as ordinary module attributes.  So small
-elements never import numpy: it loads with the first wide element or
-kernel operand.
+numpy loads on the first access to an array kernel (``to_arrays``,
+``combine_terms``, ``add_terms``, ``mul_terms``, ``scale_terms``): the
+module ``__getattr__`` (PEP 562) then binds them all here as ordinary
+attributes.  So small elements never import numpy.
 
 The thresholds sit at crossovers measured on random canonical operands
 (n = 8 to 11, 2 CPUs, numpy 2.4).  On tuple operands the dict product
 costs 0.4-0.55x the numpy one (conversions included) up to 144 pairs
 when one pair in ten is disjoint, and 0.9x at 256; it breaks even near
 110-120 pairs at one in three (the typical share in products of sparse
-elements), and costs 1.3x at 96 pairs when two in three are.  At these
-sizes the numpy product pays for its calls more than for its pairs, and
-forming only the disjoint pairs moved these ratios by under 5%.  The
-dict sum of two small elements costs 0.6-0.7x the numpy one up to
-16 + 16 terms.  Whole passes of the benchmark's sparse workload ran
-within their spread at any ``SMALL_PAIRS`` from 64 to 256 and
-``SMALL_TERMS`` from 12 to 32.
+elements), and costs 1.3x at 96 pairs when two in three are.  The dict
+sum of two small elements costs 0.6-0.7x the numpy one up to 16 + 16
+terms.  Whole passes of the benchmark's sparse workload ran within their
+spread at any ``SMALL_PAIRS`` from 64 to 256 and ``SMALL_TERMS`` from 12
+to 32.
 """
 
 from __future__ import annotations
@@ -60,8 +54,7 @@ __all__ = ["mul_terms", "combine_terms", "add_terms"]
 
 _INF = float("inf")
 
-# sizes at or below which the dict path runs and, for SMALL_TERMS, an
-# element is held as tuples (see the module docstring)
+# dict-path sizes; SMALL_TERMS also bounds the tuple form (see above)
 SMALL_PAIRS = 96
 SMALL_TERMS = 16
 
@@ -136,8 +129,14 @@ def dict_sum(masks, coefs, prune: float):
 
 
 def dict_mul(ia, ca, ib, cb, prune: float, ic=(), cc=()):
-    """Blade product of two canonical term sequences plus the canonical
-    addend ``(ic, cc)``, as canonical lists."""
+    """Blade product of two canonical terms, tuples or arrays (listed
+    first), plus the canonical addend ``(ic, cc)``, as canonical lists."""
+    if type(ia) is not tuple:
+        ia, ca = ia.tolist(), ca.tolist()
+    if type(ib) is not tuple:
+        ib, cb = ib.tolist(), cb.tolist()
+    if type(ic) is not tuple:
+        ic, cc = ic.tolist(), cc.tolist()
     right = list(zip(ib, cb))
     acc = dict(zip(ic, cc)) if ic else {}
     for a, x in zip(ia, ca):
@@ -200,18 +199,13 @@ def _mul_terms(ia, ca, ib, cb, prune: float, ic=None, cc=None):
     addend arrays ``(ic, cc)`` when given.
 
     Pairs whose masks intersect annihilate; survivors land on the union
-    mask.  Up to ``SMALL_PAIRS`` pairs are summed in a dict.  Above
-    that, one outer AND finds the disjoint pairs and only those are
+    mask.  One outer AND finds the disjoint pairs and only those are
     formed, row by row after the addend's terms.  The AND, the unions
     and the sort key run in the narrowest unsigned dtype that holds the
-    operands' masks.
+    operands' masks.  ``Zeon.mul_add`` sends only wide products here.
     """
-    if ia.size * ib.size <= SMALL_PAIRS:
-        extra = () if ic is None else (ic.tolist(), cc.tolist())
-        return to_arrays(*dict_mul(ia.tolist(), ca.tolist(), ib.tolist(),
-                                   cb.tolist(), prune, *extra))
     # masks ascend, so the last ones are the widest
-    top = ia.item(-1) | ib.item(-1)
+    top = (ia.item(-1) if ia.size else 0) | (ib.item(-1) if ib.size else 0)
     if ic is not None and ic.size:
         top |= ic.item(-1)
     # the narrowest unsigned dtype that holds them; a fifth of a

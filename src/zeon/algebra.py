@@ -348,9 +348,8 @@ class Zeon:
             terms = (addend._idx, addend._coef)
         prune = _context.get().prune_eps
         a, b = self._idx, other._idx
-        if (type(a) is tuple and type(b) is tuple
-                and (addend is None or type(addend._idx) is tuple)
-                and len(a) * len(b) <= _backend.SMALL_PAIRS):
+        # the one dict/array crossover for products, on either form
+        if len(a) * len(b) <= _backend.SMALL_PAIRS:
             return _raw(self.n, *dict_mul(a, self._coef, b, other._coef,
                                           prune, *terms))
         to_arrays = _backend.to_arrays

@@ -368,11 +368,16 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance,
     else:
         x = np.array([start.coeff(b) for b in blades], dtype=np.complex128)
     jac = np.zeros((len(rows), k), dtype=np.complex128)
+    norm = np.inf  # no earlier residual norm
     for _ in range(_NEWTON_STEPS):
         jac[row, col] = 2.0 * x[src]
         res = 0.5 * (jac @ x) - target
         if not np.all(np.isfinite(res)):
             return None
+        # stop at a stall (rounding alone moves the norm), not at a rise
+        last, norm = norm, np.linalg.norm(res)
+        if abs(norm - last) <= 1e-9 * norm:
+            break
         step = np.linalg.lstsq(jac, -res, rcond=None)[0]
         x = x + step
         if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):

@@ -539,6 +539,8 @@ def is_extension_zero(coeffs: Sequence[complex], w: Zeon) -> bool:
     c = [complex(a) for a in coeffs]
     if len(c) < 1:
         raise ValueError("empty coefficient list")
+    if not any(c):  # the zero polynomial vanishes everywhere
+        return True
     mu = _scalar_multiplicity(c, w.scalar_part(), default_tolerance())
     if mu == 0:
         return False

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .algebra import MAX_GENERATORS, Zeon, indices_to_mask
+from .algebra import MAX_GENERATORS, Zeon
 from .poly import ZeonPoly
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 
 def _format_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 

@@ -57,7 +57,8 @@ def canonical(rng, n: int, size: int):
 
 @pytest.fixture(params=["small", "wide"])
 def path(request, monkeypatch):
-    """Force every kernel onto its dict path or its numpy path."""
+    """Force elements and the sum kernels onto their dict path or their
+    numpy path; ``mul_terms`` itself has only the numpy one."""
     limit = 10**9 if request.param == "small" else 0
     monkeypatch.setattr(_backend, "SMALL_PAIRS", limit)
     monkeypatch.setattr(_backend, "SMALL_TERMS", limit)
@@ -91,11 +92,10 @@ class TestSmallOperandPaths:
 
     @pytest.mark.parametrize("sizes", MUL_SIZES)
     def test_product_at_measured_threshold(self, rng, sizes):
-        # no forcing: the size picks the path
-        ia, ca = canonical(rng, N, sizes[0])
-        ib, cb = canonical(rng, N, sizes[1])
-        want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
-        assert_matches(mul_terms(ia, ca, ib, cb, 1e-14), want, 1e-14)
+        # no forcing: the pair count picks the path in Zeon.mul_add
+        a, b = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
+        want = dense_mul(to_dense(a), to_dense(b))
+        assert_matches(arrays_of(a.mul(b)), want, 1e-14)
 
     @pytest.mark.parametrize("sizes", ADD_SIZES)
     def test_sum_matches_oracle(self, rng, path, sizes):
@@ -412,6 +412,64 @@ class TestFusedProduct:
                 for k in sizes)
         got = repr(a.mul(b).terms()).encode()
         assert hashlib.sha256(got).hexdigest()[:16] == self.PINNED[key]
+
+
+class TestProductRoute:
+    """``Zeon.mul_add`` alone picks a product's path: at most
+    ``SMALL_PAIRS`` pairs run the dict product, whatever form the
+    factors and the addend hold, and more run ``mul_terms``."""
+
+    # (left, right, addend) term counts, 0 for no addend: tuple factors,
+    # a 17-48-term factor (arrays) with a 1-5-term one, wide addends
+    SMALL = [(3, 3, 0), (8, 12, 0), (40, 2, 0), (2, 48, 0), (17, 5, 0),
+             (3, 3, 40), (48, 2, 40), (2, 40, 3), (1, 1, 17)]
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mul_terms reached")
+        monkeypatch.setattr(_backend, "mul_terms", refuse)
+
+    @pytest.mark.parametrize("sizes", SMALL)
+    def test_small_products_skip_the_array_kernel(self, rng, no_kernel,
+                                                  sizes):
+        for _ in range(3):
+            a, b, c = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
+            assert len(a.terms()) * len(b.terms()) <= _backend.SMALL_PAIRS
+            want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+            got = a.mul_add(b, c) if sizes[2] else a.mul(b)
+            assert_matches(arrays_of(got), want, 1e-14)
+
+    def test_one_pair_more_reaches_the_array_kernel(self, rng, no_kernel):
+        a = zeon_of(N, *canonical(rng, N, _backend.SMALL_PAIRS + 1))
+        b = zeon_of(N, *canonical(rng, N, 1))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(AssertionError, match="mul_terms reached"):
+                x.mul(y)
+
+    # sha256 prefixes of ``repr(result.terms())`` at n = 10 with blades
+    # of grade <= 2, so the pairs collide often and any change to the
+    # order of the dict product's sums changes them.  Keys: the
+    # operation, then the term counts of the factors and the addend.
+    PINNED = {("mul", 40, 2): "4ab030125f953cb9",
+              ("mul", 2, 40): "56d90f91019ab726",
+              ("mul", 17, 5): "4043ae015e452777",
+              ("mul_add", 3, 3, 40): "1ad7ca2a6c721323",
+              ("mul_add", 48, 2, 40): "97683487637fbd48",
+              ("mul_add", 2, 40, 3): "a5a285e8197a8923"}
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_mixed_forms_are_unchanged(self, key):
+        op, *sizes = key
+        n = 10
+        gen = np.random.default_rng(20211)
+        low = [m for m in range(1 << n) if bin(m).count("1") <= 2]
+        a, b, *c = (zeon_of(n, np.sort(gen.choice(low, size=k, replace=False)),
+                            gen.normal(size=k) + 1j * gen.normal(size=k))
+                    for k in sizes)
+        got = a.mul_add(b, c[0]) if c else a.mul(b)
+        digest = hashlib.sha256(repr(got.terms()).encode()).hexdigest()
+        assert digest[:16] == self.PINNED[key]
 
 
 def sparse_canonical(rng, bits: int, size: int):

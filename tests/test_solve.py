@@ -17,6 +17,7 @@ from zeon import (
     ZeonPoly,
     ZeroSetKind,
     classify_nilpotent_zeros,
+    generators,
     is_extension_zero,
     multiple_zero_family,
     scalar_roots,
@@ -26,7 +27,8 @@ from zeon import (
 )
 from zeon.solve import _deflate
 
-from conftest import random_nilpotent, random_zeon
+from conftest import random_nilpotent, random_zeon, to_dense
+from oracle import dense_poly_eval, dense_scalar
 
 Z1 = Zeon.blade(2, (1,))
 Z2 = Zeon.blade(2, (2,))
@@ -533,6 +535,18 @@ class TestIsExtensionZero:
 
     def test_non_root_scalar_part(self):
         assert not is_extension_zero([0.0, 1.0, 1.0], Zeon.scalar(2, 5.0))
+
+    def test_zero_polynomial_takes_every_element(self, rng):
+        # the extension of the zero polynomial vanishes at every element,
+        # nilpotent duals of any index included
+        for n in range(1, 5):
+            blades = sum(generators(n), Zeon.zero(n))
+            for w in (random_zeon(rng, n), blades, blades + 2.5,
+                      Zeon.scalar(n, -1j)):
+                for deg in range(3):
+                    zeros = [dense_scalar(n, 0)] * (deg + 1)
+                    assert not dense_poly_eval(zeros, to_dense(w)).any()
+                    assert is_extension_zero([0.0] * (deg + 1), w)
 
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Text and JSON round-trips for elements and polynomials."""
 
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestComplexText:
             c = complex(rng.normal(), rng.normal()) * 10.0 ** float(
                 rng.integers(-8, 9))
             assert parse_complex(format_complex(c)) == c
+
+    @pytest.mark.parametrize("value", [
+        complex(math.nan, 0), complex(math.inf, 0), complex(-math.inf, 0),
+        complex(1, math.nan), complex(-math.inf, 2), complex(0, math.inf),
+        complex(math.nan, math.nan)])
+    def test_round_trip_non_finite(self, value):
+        got = parse_complex(format_complex(value))
+        for x, y in ((got.real, value.real), (got.imag, value.imag)):
+            assert x == y or (math.isnan(x) and math.isnan(y))
 
     @pytest.mark.parametrize("bad", ["", "1+", "2x", "(1+2i", "i2", "--3"])
     def test_rejects_garbage(self, bad):
