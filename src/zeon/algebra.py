@@ -27,6 +27,7 @@ import cmath
 import contextvars
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -58,7 +59,8 @@ class Tolerance:
         stored elements.
     eq_eps
         Two elements are considered equal when every coefficient of
-        their difference is below this.
+        their difference is below this.  A scalar part at or below it in
+        magnitude, an element's or a polynomial lead's, is not invertible.
     root_eps
         Acceptance threshold for scalar root residuals.
     cluster_eps
@@ -166,9 +168,15 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
 
 
 def _check_n(n: int) -> int:
+    n = operator.index(n)  # refuses a non-integral count
     if not (0 <= n <= MAX_GENERATORS):
         raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}")
-    return int(n)
+    return n
+
+
+def _invertible(c: complex) -> bool:
+    """The one invertibility test of a scalar part: ``|c| > eq_eps``."""
+    return abs(c) > _context.get().eq_eps
 
 
 ZeonLike = "Zeon | complex | float | int"
@@ -399,7 +407,7 @@ class Zeon:
         the dual part it is the finite sum ``sum_k (1/c) (-d/c)**k``.
         """
         c = self.scalar_part()
-        if abs(c) <= _context.get().eq_eps:
+        if not _invertible(c):
             raise NotInvertible(
                 "scalar part is zero (or below eq_eps); no inverse exists"
             )
@@ -548,7 +556,7 @@ def principal_kth_root(w: Zeon, k: int) -> Zeon:
     if k < 1:
         raise ValueError("root order must be a positive integer")
     c = w.scalar_part()
-    if abs(c) <= _context.get().eq_eps:
+    if not _invertible(c):
         raise NotInvertible("k-th roots require an invertible element")
     r = cmath.exp(cmath.log(c) / k)
     # binom(1/k, j) r / c**j for j = 0..n; zero from j = 2 on when k == 1

@@ -42,7 +42,7 @@ import shlex
 import sys
 from collections.abc import Callable
 from enum import Enum
-from io import StringIO, TextIOBase
+from io import TextIOBase
 from pathlib import Path
 
 from .algebra import Tolerance, Zeon, kth_roots, tolerance
@@ -331,6 +331,8 @@ def _dispatch(argv: list[str], out: TextIOBase, err: TextIOBase,
         ns = parser.parse_args(argv)
     except _UsageError as exc:
         return _fail(err, "UsageError", str(exc))
+    except SystemExit as exc:  # argparse's exit after --help
+        return exc.code if isinstance(exc.code, int) else 0
     if ns.batch is not None:
         if in_batch:
             return _fail(err, "UsageError", "--batch cannot nest")
@@ -366,13 +368,7 @@ def _run_batch(path: str, out: TextIOBase, err: TextIOBase) -> int:
                 return _fail(err, "ParseError", f"{path}:{lineno}: {exc}")
     code = 0
     for args in jobs:
-        buf_out, buf_err = StringIO(), StringIO()
-        try:
-            line_code = _dispatch(args, buf_out, buf_err, in_batch=True)
-        except SystemExit as exc:
-            line_code = exc.code if isinstance(exc.code, int) else 0
-        out.write(buf_out.getvalue())
-        err.write(buf_err.getvalue())
+        line_code = _dispatch(args, out, err, in_batch=True)
         if code == 0 and line_code != 0:
             code = line_code
     return code
@@ -380,11 +376,7 @@ def _run_batch(path: str, out: TextIOBase, err: TextIOBase) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        return _dispatch(args, sys.stdout, sys.stderr)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0
+    return _dispatch(args, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,9 @@ from .algebra import (
     Tolerance,
     Zeon,
     ZeonLike,
+    _check_n,
     _coerce,
+    _invertible,
     default_tolerance,
     mask_to_indices,
     principal_kth_root,
@@ -74,7 +76,9 @@ class ZeonPoly:
                     )
         if ambient is None:
             raise ValueError("ambient dimension n is required")
+        # lifting checks an explicit n; an empty list leaves it to _check_n
         lifted = [_coerce(c, ambient) for c in coeffs]
+        ambient = lifted[0].n if lifted else _check_n(ambient)
         while lifted and lifted[-1].is_zero():
             lifted.pop()
         object.__setattr__(self, "n", ambient)
@@ -170,19 +174,22 @@ class ZeonPoly:
             n=self.n,
         )
 
+    def _invertible_lead(self, error=LeadingCoefficientNotInvertible) -> Zeon:
+        """The leading coefficient, checked invertible; ``error`` is
+        raised when there is none or it has no inverse."""
+        if self.is_zero():
+            raise error("zero polynomial")
+        if not _invertible(self.coeffs[-1].scalar_part()):
+            raise error("leading coefficient has zero scalar part")
+        return self.coeffs[-1]
+
     def monic(self) -> "ZeonPoly":
         """Scale by the inverse of the leading coefficient.
 
         Raises :class:`LeadingCoefficientNotInvertible` when that
         coefficient has no inverse.
         """
-        if self.is_zero():
-            raise LeadingCoefficientNotInvertible("zero polynomial")
-        lead = self.lead
-        if abs(lead.scalar_part()) <= default_tolerance().eq_eps:
-            raise LeadingCoefficientNotInvertible(
-                "leading coefficient has zero scalar part"
-            )
+        lead = self._invertible_lead()
         if lead == 1:
             return self
         inv = lead.inverse()
@@ -198,6 +205,8 @@ class ZeonPoly:
             )
 
     def __add__(self, other: "ZeonPoly") -> "ZeonPoly":
+        if not isinstance(other, ZeonPoly):
+            return NotImplemented
         self._check(other)
         size = max(len(self.coeffs), len(other.coeffs))
         return ZeonPoly(
@@ -206,6 +215,8 @@ class ZeonPoly:
         )
 
     def __sub__(self, other: "ZeonPoly") -> "ZeonPoly":
+        if not isinstance(other, ZeonPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ZeonPoly":
@@ -265,13 +276,7 @@ def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
     dropped outright rather than left to float noise.
     """
     phi._check(psi)
-    if psi.is_zero():
-        raise DivisorNotMonicizable("division by the zero polynomial")
-    if abs(psi.lead.scalar_part()) <= default_tolerance().eq_eps:
-        raise DivisorNotMonicizable(
-            "divisor's leading coefficient has zero scalar part"
-        )
-    lead_inv = psi.lead.inverse()
+    lead_inv = psi._invertible_lead(DivisorNotMonicizable).inverse()
     dpsi = psi.degree
     rem = list(phi.coeffs)
     quot = [Zeon.zero(phi.n)] * max(0, len(rem) - dpsi)
@@ -410,7 +415,7 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
     True only for the provable grade obstruction.
     """
     tol = default_tolerance()
-    if abs(w.scalar_part()) > tol.eq_eps:
+    if _invertible(w.scalar_part()):
         raise ValueError("nilpotent_sqrt expects a nilpotent element")
     w = w.dual_part()
     if w.is_zero():
@@ -639,8 +644,7 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
     if not (alpha.n == beta.n == gamma.n):
         raise DimensionMismatch("quadratic coefficients mix algebras")
     n = alpha.n
-    eps = default_tolerance().eq_eps
-    if abs(alpha.scalar_part()) <= eps:
+    if not _invertible(alpha.scalar_part()):
         raise LeadingCoefficientNotInvertible(
             "quadratic leading coefficient has zero scalar part"
         )
@@ -655,17 +659,10 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
             family_base=base,
             note="zeros are base + eta for every eta with eta*eta = 0",
         )
-    if abs(delta.scalar_part()) > eps:
-        w = principal_kth_root(delta, 2)
-        z1 = half_inv.mul(w - beta)
-        z2 = half_inv.mul(w.scale(-1.0) - beta)
-        return QuadraticOutcome(
-            kind=QuadraticKind.TWO_DISTINCT,
-            zeros=(z1, z2),
-            discriminant=delta,
-        )
+    invertible = _invertible(delta.scalar_part())
     try:
-        w = nilpotent_sqrt(delta)
+        w = (principal_kth_root(delta, 2) if invertible
+             else nilpotent_sqrt(delta))
     except SqrtNotFound as exc:
         return QuadraticOutcome(
             kind=(QuadraticKind.NO_ZEROS if exc.certified
@@ -676,6 +673,12 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
         )
     z1 = half_inv.mul(w - beta)
     z2 = half_inv.mul(w.scale(-1.0) - beta)
+    if invertible:
+        return QuadraticOutcome(
+            kind=QuadraticKind.TWO_DISTINCT,
+            zeros=(z1, z2),
+            discriminant=delta,
+        )
     zeros = (z1,) if z1.isclose(z2) else (z1, z2)
     return QuadraticOutcome(
         kind=QuadraticKind.NILPOTENT_DISCRIMINANT_ROOTS,

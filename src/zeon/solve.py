@@ -30,7 +30,6 @@ from .algebra import Tolerance, Zeon, _raw, default_tolerance
 from .errors import (
     DimensionMismatch,
     FamilyPreconditionError,
-    LeadingCoefficientNotInvertible,
     NotSpectrallySimple,
     RootFindingFailed,
 )
@@ -292,17 +291,6 @@ class SpectralZero(namedtuple(
     __slots__ = ()
 
 
-def _lead_checked_projection(phi: ZeonPoly, tol: Tolerance) -> list[complex]:
-    """Scalar projection of ``phi``, raising as :meth:`ZeonPoly.monic`
-    does when the lead is not invertible, but forming no inverse."""
-    f = phi.scalar_projection()
-    if abs(f[-1]) <= tol.eq_eps:
-        raise LeadingCoefficientNotInvertible(
-            "zero polynomial" if phi.is_zero()
-            else "leading coefficient has zero scalar part")
-    return f
-
-
 def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     """Lift a simple scalar root to the unique zeon zero above it.
 
@@ -316,7 +304,8 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     Thresholds scale with ``max |f_k|``.
     """
     tol = default_tolerance()
-    f = _lead_checked_projection(phi, tol)
+    phi._invertible_lead()
+    f = phi.scalar_projection()
     scale = max(map(abs, f))
     fp = _der(f)
     lam0 = _newton(partial(_horner, f), partial(_horner, fp), complex(lam0))
@@ -430,7 +419,8 @@ def split(phi: ZeonPoly) -> SolveReport:
     """
     if phi.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    spectrum = scalar_roots(_lead_checked_projection(phi, default_tolerance()))
+    phi._invertible_lead()
+    spectrum = scalar_roots(phi.scalar_projection())
     scalar_only = phi.is_scalar()
     zeros: list[SpectralZero] = []
     families: list[ZeroSetDescription] = []

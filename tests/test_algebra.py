@@ -71,6 +71,15 @@ def test_constructor_rejects_bad_indices():
         Zeon(2, [((1,), float("nan"))])
 
 
+def test_generator_count_must_be_integral():
+    # int(n) used to truncate it: Zeon(2.5, ...) lived in n = 2
+    with pytest.raises(TypeError):
+        Zeon(2.5, {(1,): 1.0})
+    with pytest.raises(TypeError):
+        Zeon.zero(2.0)
+    assert Zeon(np.int64(2), {(2,): 1.0}).n == 2
+
+
 def test_scalar_rejects_what_the_constructor_rejects():
     for bad in (float("nan"), complex(1.0, float("inf")), float("-inf")):
         with pytest.raises(ValueError):

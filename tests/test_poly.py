@@ -61,6 +61,16 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             ZeonPoly([Zeon.one(1), Zeon.one(2)])
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ZeonPoly.zero(40), ValueError),
+        (lambda: ZeonPoly((), n=-3), ValueError),
+        # used to store n=2.5 over n=2 coefficients
+        (lambda: ZeonPoly([1, 2], n=2.5), TypeError),
+    ], ids=["zero-40", "empty-negative", "scalars-fractional"])
+    def test_explicit_n_is_checked(self, build, error):
+        with pytest.raises(error):
+            build()
+
     def test_n_inferred_from_coefficients(self):
         p = ZeonPoly([Z1, Z12])
         assert p.n == 2
@@ -190,6 +200,14 @@ class TestArithmetic:
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionMismatch):
             scalar_poly(1, 1.0) + scalar_poly(2, 1.0)
+
+    def test_scalar_operand_is_a_type_error(self):
+        # not an AttributeError from reading other.n
+        p = scalar_poly(1, 1.0, 1.0)
+        for op in (lambda: p + 1, lambda: p - 1, lambda: 1 + p,
+                   lambda: 1 - p, lambda: p + Zeon.one(1)):
+            with pytest.raises(TypeError):
+                op()
 
     def test_eq_and_hash(self):
         p = scalar_poly(2, 1.0, 2.0)
