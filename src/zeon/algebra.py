@@ -366,24 +366,20 @@ class Zeon:
             *(to_arrays(*terms) if terms else ())))
 
     def power(self, k: int) -> "Zeon":
-        """``k``-th power, ``k >= 0``, by binary exponentiation."""
+        """``k``-th power, ``k >= 0``: with ``c`` the scalar part and ``d``
+        the dual part, the finite sum ``sum_j binom(k, j) c**(k-j) d**j``.
+        """
+        k = operator.index(k)  # refuses a non-integral exponent
         if k < 0:
             raise ValueError("power expects a nonnegative exponent; "
                              "use inverse() for negative powers")
-        result = Zeon.one(self.n)
-        base = self
-        e = int(k)
-        while e:
-            if e & 1:
-                result = result.mul(base)
-                if result.is_zero():
-                    return result
-            e >>= 1
-            if e:
-                base = base.mul(base)
-                if base.is_zero() and e:
-                    return Zeon.zero(self.n)
-        return result
+        c = self.scalar_part()
+        try:
+            coeffs = [math.comb(k, j) * c ** (k - j)
+                      for j in range(min(k, self.n) + 1)]
+        except OverflowError:  # c**(k-j) or binom(k, j) past the float range
+            raise NonFiniteResult("coefficients must be finite") from None
+        return _taylor_sum(self.dual_part(), coeffs)
 
     def nilpotency_index(self) -> int | None:
         """Least ``k >= 1`` with ``u**k == 0``, or ``None`` if not nilpotent.
@@ -448,7 +444,10 @@ class Zeon:
     def __truediv__(self, other: ZeonLike) -> "Zeon":
         if isinstance(other, Zeon):
             return self.mul(other.inverse())
-        return self.scale(1.0 / complex(other))
+        other = complex(other)
+        if not _invertible(other):
+            raise NotInvertible("division by zero (or below eq_eps)")
+        return self.scale(1.0 / other)
 
     def __pow__(self, k: int) -> "Zeon":
         return self.power(k)

@@ -193,23 +193,18 @@ def _taylor_coeffs(ext: ZeonExtension, s: complex) -> Iterator[complex]:
 def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
     """The degree-``n`` polynomial matching the extension at scalar ``z0``.
 
-    Returns ``sum_k f_k(z0)/k! (u - z0)**k`` expanded in ``u``.  Its
-    value at any ``u`` with scalar part ``z0`` equals ``extend_eval(u)``;
-    elements with other scalar parts see only a truncation.
+    Returns ``sum_k f_k(z0)/k! (u - z0)**k`` expanded in ``u`` by a
+    Taylor shift.  Its value at any ``u`` with scalar part ``z0`` equals
+    ``extend_eval(u)``; elements with other scalar parts see only a
+    truncation.
     """
+    from .solve import _shift
+
     z0 = complex(z0)
     if not ext.fn.in_domain(z0):
         raise OutsideDomain(f"{ext.fn.name} is undefined at {z0}")
-    # Horner in (u - z0): p <- p * (u - z0) + a, top coefficient first
-    coeffs = [0j]
-    for a in reversed(list(_taylor_coeffs(ext, z0))):
-        nxt = [0j] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= z0 * c
-        nxt[0] += a
-        coeffs = nxt
-    return ZeonPoly.from_scalars(ext.n, coeffs)
+    return ZeonPoly.from_scalars(
+        ext.n, _shift(list(_taylor_coeffs(ext, z0)), -z0))
 
 
 def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:

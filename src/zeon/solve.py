@@ -12,9 +12,9 @@ Scalar roots come from a simultaneous Aberth iteration followed by
 cluster merging, which is what recovers multiplicities from the cloud
 of nearby approximations a multiple root produces in floating point.
 The scalar polynomials are lists of Python complexes, ascending, worked
-by three helpers (Horner value, derivative, synthetic deflation): at
-degree ``n`` of a few a numpy call costs more than the arithmetic, so
-this module does not import numpy.
+by three helpers (Horner value, derivative, Taylor shift): at degree
+``n`` of a few a numpy call costs more than the arithmetic, so this
+module does not import numpy.
 """
 
 from __future__ import annotations
@@ -81,16 +81,19 @@ def _der(c: list[complex]) -> list[complex]:
     return [k * c[k] for k in range(1, len(c))] or [0j]
 
 
-def _deflate(c: list[complex], lam0: complex) -> list[complex]:
-    """Quotient of the scalar polynomial by (u - lam0), by synthetic
-    division."""
-    deg = len(c) - 1
-    q = [0j] * deg
-    acc = c[deg]
-    for k in range(deg - 1, -1, -1):
-        q[k] = acc
-        acc = c[k] + acc * lam0
-    return q
+def _shift(c: list[complex], z: complex) -> list[complex]:
+    """Coefficients of ``p(u + z)``: the Taylor coefficients
+    ``p^(k)(z) / k!`` of the polynomial with ascending coefficients ``c``.
+
+    Pass ``k`` runs Horner at ``z`` on the top ``len(c) - k``
+    coefficients in place, the synthetic division of the previous
+    quotient by ``u - z``.  Real ``c`` and ``z`` give real floats.
+    """
+    b = list(c)
+    for k in range(len(b) - 1):
+        for j in range(len(b) - 2, k - 1, -1):
+            b[j] += z * b[j + 1]
+    return b
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -222,10 +225,9 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
 def _noise_radius(monic: list[complex], z: complex) -> float:
     """Radius of the disc about ``z`` on which ``p`` is rounding noise.
 
-    With ``b_k`` the Taylor coefficients of ``p`` at ``z`` (the values
-    at ``z`` of the repeated quotients by ``u - z``) and ``noise`` the
-    rounding bound of evaluating ``p`` there, it is the least
-    ``(noise / |b_k|)**(1/k)``: about eps**(1/m) on the stall circle
+    With ``b_k`` the Taylor coefficients of ``p`` at ``z`` (``_shift``)
+    and ``noise`` the rounding bound of evaluating ``p`` there, it is
+    the least ``(noise / |b_k|)**(1/k)``: about eps**(1/m) on the stall circle
     of an m-fold root, and ``noise / |p'(z)|`` at a simple one.  The
     steps the iteration took are no such measure: on the stall circle
     ``p(z)`` often rounds to exactly 0, and the step with it.
@@ -233,11 +235,8 @@ def _noise_radius(monic: list[complex], z: complex) -> float:
     noise = (len(monic) - 1) * _EPS * _horner([abs(a) for a in monic],
                                               abs(z))
     radius = math.inf
-    q = monic
-    for k in range(1, len(monic)):
-        q = _deflate(q, z)
-        b = abs(_horner(q, z))
-        if b:
+    for k, b in enumerate(map(abs, _shift(monic, z))):
+        if k and b:
             radius = min(radius, (noise / b) ** (1.0 / k))
     return radius
 
@@ -507,16 +506,14 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex],
 def _scalar_multiplicity(c: list[complex], z: complex, tol: Tolerance) -> int:
     """Order of ``z`` as a root of the complex polynomial (0 if not one).
 
-    Each derivative's value is judged against the sum Horner adds up at
-    ``z``, so the test scales with the coefficients and with ``|z|``.
+    Each Taylor coefficient at ``z`` is judged against the same one of
+    the absolute values at ``|z|``, so the test scales with the
+    coefficients and with ``|z|``.
     """
-    deg = len(c) - 1
-    for j in range(deg + 1):
-        if abs(_horner(c, z)) > tol.root_eps * _horner([abs(a) for a in c],
-                                                         abs(z)):
-            return j
-        c = _der(c)
-    return deg + 1
+    b = _shift(c, z)
+    bound = _shift([abs(a) for a in c], abs(z))
+    return next((j for j in range(len(c))
+                 if abs(b[j]) > tol.root_eps * bound[j]), len(c))
 
 
 def is_extension_zero(coeffs: Sequence[complex], w: Zeon) -> bool:

@@ -26,7 +26,7 @@ from zeon import (
 )
 
 from conftest import random_invertible, random_zeon, to_dense
-from oracle import dense_taylor
+from oracle import dense_pow, dense_taylor
 
 
 def z(n, *terms):
@@ -287,6 +287,15 @@ def test_division_operator(rng):
     assert (u / 2.0).isclose(u.scale(0.5))
 
 
+def test_division_by_a_number_checks_invertibility():
+    u = z(1, ((), 4.0), ((1,), 1.0))
+    assert u / 2.0 == u.scale(0.5)
+    # a plain number takes the same test as a scalar element
+    for divisor in (1e-12, 0, Zeon.scalar(1, 1e-12)):
+        with pytest.raises(NotInvertible):
+            u / divisor
+
+
 # -- powers --------------------------------------------------------------------
 
 
@@ -298,6 +307,30 @@ def test_power_examples(rng):
     assert (u ** 2).isclose(u * u)
     with pytest.raises(ValueError):
         u.power(-1)
+
+
+def test_power_refuses_a_non_integral_exponent():
+    u = z(1, ((), 4.0), ((1,), 1.0))
+    for k in (0.5, 2.7, 2.0):
+        with pytest.raises(TypeError):
+            u ** k
+    assert u ** True == u
+    assert u ** np.int64(3) == u.power(3)
+
+
+@pytest.mark.parametrize("u, k", [
+    (z(3, ((1,), 1.5), ((2, 3), -1j), ((1, 2), 0.5)), 2),
+    (z(3, ((1,), 1.5), ((2, 3), -1j)), 3),
+    (z(2, ((), 2.0 - 1j), ((1,), 1.0), ((2,), 0.5j)), 5),
+    (z(3, ((), 2.0), ((1,), 1.0), ((2, 3), -0.5j)), 0),
+    (z(2, ((), 1e3), ((1,), 1.0), ((1, 2), 2.0)), 3),
+    (z(3, ((), cmath.exp(0.3j)), ((1,), 0.25), ((2,), -0.5), ((3,), 1j)), 64),
+], ids=["nilpotent", "nilpotent-k-above-n", "k-above-n", "k-zero",
+        "large-scalar", "unit-modulus-k64"])
+def test_power_matches_dense(u, k):
+    want = dense_pow(to_dense(u), k)
+    assert np.allclose(to_dense(u.power(k)), want, rtol=1e-12,
+                       atol=1e-12 * np.abs(want).max())
 
 
 # -- k-th roots ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Analytic extensions: truncated Taylor evaluation and preimages."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from zeon import (
     preimage,
     principal_kth_root,
 )
+from zeon.textio import format_poly
 
 from conftest import random_nilpotent, random_zeon, to_dense
 from oracle import dense_taylor
@@ -253,6 +255,30 @@ class TestPolynomialForm:
     def test_off_domain_rejected(self):
         with pytest.raises(OutsideDomain):
             polynomial_form(ext("log", 2), -2.0)
+
+    # sha256 prefixes of ``format_poly(polynomial_form(ext(name, 8), z0))``
+    # for z0 = 0.7, 3, 12 and 50: the text holds every coefficient to
+    # full precision, so any change to the expansion's arithmetic shows.
+    PINNED = {
+        "exp": ("b788935acbc6b94a", "8616961bed7535a0",
+                "d6aff861bfdac4ea", "36785e20bf2ffe64"),
+        "log": ("8294929a58e62e5d", "f472319870f8f8fc",
+                "46527fe1a44783aa", "60c0b8bac9040c8f"),
+        "sin": ("3e9a2879fb7afdcc", "8e3479aafde106ac",
+                "5a9b07682ec2182e", "faa241303573cc1b"),
+        "cos": ("f8804b57eb95a5dc", "81ea72d956ea48ca",
+                "202a74e6d5324d97", "f34172be8216f58b"),
+        "sqrt": ("9f53d223792d9cd9", "6dd535b34c2a6256",
+                 "76a361ec259288d8", "a94b8185e94ec0ad"),
+        "pow(0.5+1i)": ("0f1eed710320b516", "f277f0985b57548b",
+                        "5f772488f5d99ebe", "264746902f33a53c"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_forms_are_unchanged(self, name):
+        for z0, pinned in zip((0.7, 3.0, 12.0, 50.0), self.PINNED[name]):
+            text = format_poly(polynomial_form(ext(name, 8), z0))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned
 
 
 # -- preimages ----------------------------------------------------------------

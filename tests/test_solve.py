@@ -25,7 +25,7 @@ from zeon import (
     split,
     tolerance,
 )
-from zeon.solve import _deflate
+from zeon.solve import _shift
 
 from conftest import random_nilpotent, random_zeon, to_dense
 from oracle import dense_poly_eval, dense_scalar
@@ -260,6 +260,42 @@ class TestScalarRootsOracle:
 # -- spectral lifts ---------------------------------------------------------
 
 
+class TestShift:
+    """``_shift(c, z)``: the Taylor coefficients at ``z``."""
+
+    def random_case(self, rng):
+        deg = int(rng.integers(1, 9))
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        z = complex(rng.normal(), rng.normal())
+        return [complex(x) for x in c], z
+
+    def test_matches_scaled_derivatives(self, rng):
+        from numpy.polynomial import polynomial as npoly
+
+        for _ in range(50):
+            c, z = self.random_case(rng)
+            got = _shift(c, z)
+            assert len(got) == len(c)
+            for k, b in enumerate(got):
+                der = npoly.polyder(c, k)
+                want = npoly.polyval(z, der)
+                scale = npoly.polyval(abs(z), np.abs(der))
+                assert abs(b * math.factorial(k) - want) <= 1e-13 * scale
+
+    def test_shift_back_restores(self, rng):
+        for _ in range(50):
+            c, z = self.random_case(rng)
+            back = _shift(_shift(c, z), -z)
+            assert np.allclose(back, c, rtol=0,
+                               atol=1e-12 * (1 + abs(z)) ** len(c))
+
+    def test_real_input_stays_real(self, rng):
+        c = [float(x) for x in rng.normal(size=6)]
+        got = _shift(c, -1.5)
+        assert all(type(b) is float for b in got)
+        assert all(type(b) is float for b in _shift([abs(a) for a in c], 1.5))
+
+
 class TestSpectrallySimpleZero:
     def test_linear_dual_root(self):
         phi = ZeonPoly.from_roots(2, [Zeon.scalar(2, 2.0) + Z1])
@@ -325,15 +361,6 @@ class TestSpectrallySimpleZero:
         phi = ZeonPoly([Zeon.one(2), Z1])
         with pytest.raises(LeadingCoefficientNotInvertible):
             spectrally_simple_zero(phi, 1.0)
-
-    def test_deflation_methods_agree(self, rng):
-        from numpy.polynomial import polynomial as npoly
-
-        c = rng.normal(size=5) + 1j * rng.normal(size=5)
-        monic = [complex(x) for x in c / c[-1]]
-        lam0 = 0.7 - 0.2j
-        expected, _ = npoly.polydiv(monic, [-lam0, 1.0 + 0j])
-        assert np.allclose(_deflate(monic, lam0), expected, atol=1e-12)
 
     def test_lift_forms_no_inverse(self, rng, monkeypatch):
         # from_roots(...) * c has a lead with a nonzero dual part, so a
