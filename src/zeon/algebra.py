@@ -281,10 +281,6 @@ class Zeon:
             return _raw(self.n, self._idx[1:], self._coef[1:])
         return self
 
-    def grades(self) -> list[int]:
-        """Sorted list of grades carrying at least one term."""
-        return sorted({m.bit_count() for m in self._tuples()[0]})
-
     def grade_part(self, k: int) -> "Zeon":
         """Sum of the stored terms of grade ``k``."""
         if k < 0:
@@ -518,12 +514,15 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
     power is pruned below the size of a term still to come, a dip in the
     coefficients (``cos`` at pi) erases nothing after it, and falling
     coefficients (a root at a large scalar) shrink the power with them.
+    A tuple-form ``x`` adds each power to a running total; an array-form
+    one adds them all in one ``add_terms`` call, in the same order.
     """
     a = list(itertools.islice(coeffs, x.n + 1))
     # big[k]: the coefficient of largest magnitude among a[k:]
     big = list(itertools.accumulate(
         reversed(a), lambda b, c: c if abs(c) > abs(b) else b))[::-1]
     total = Zeon.scalar(x.n, a[0]) if a else Zeon.zero(x.n)
+    parts = [] if type(x._idx) is tuple else [total]  # summed at the end
     term, size = x, 1.0
     for k in range(1, len(a)):
         if k > 1:
@@ -536,8 +535,15 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
         if big[k] != size:
             term, size = term.scale(big[k] / size), big[k]
         if a[k] != 0:
-            total = total.add(term if a[k] == size
-                              else term.scale(a[k] / size))
+            part = term if a[k] == size else term.scale(a[k] / size)
+            if parts:
+                parts.append(part)
+            else:
+                total = total.add(part)
+    if parts:
+        arrays = (_backend.to_arrays(p._idx, p._coef) for p in parts)
+        total = _raw(x.n, *_backend.add_terms(
+            *itertools.chain.from_iterable(arrays), _context.get().prune_eps))
     return total
 
 

@@ -111,10 +111,14 @@ class ZeonPoly:
     @classmethod
     def from_roots(cls, n: int, roots: Iterable[ZeonLike]) -> "ZeonPoly":
         """Monic polynomial with the given zeros: product of (u - r)."""
-        acc = cls.from_scalars(n, [1.0])
+        acc = [Zeon.one(n)]
         for r in roots:
-            acc = acc * cls([_coerce(r, n).scale(-1.0), Zeon.one(n)], n=n)
-        return acc
+            # times (u - r), adding as __mul__ does: acc[k-1] + acc[k] * -r
+            r = _coerce(r, n).scale(-1.0)
+            acc = [acc[0].mul(r),
+                   *(a.mul_add(r, b) for a, b in zip(acc[1:], acc)),
+                   acc[-1]]
+        return cls(acc, n=n)
 
     # -- queries -----------------------------------------------------------
 

@@ -475,16 +475,15 @@ def classify_nilpotent_zeros(coeffs: Sequence[complex],
     nilpotent zeros are exactly the nilpotents with ``u**d = 0``, so
     ``d <= 1`` leaves none and ``d >= 2`` gives the infinite family of
     all nilpotents with nilpotency index at most ``d`` (every single
-    blade qualifies).
+    blade qualifies).  ``d`` is the multiplicity of 0 as a root, the one
+    :func:`is_extension_zero` reads, so the two agree.
     """
     if n < 1:
         raise ValueError("need at least one generator")
-    mags = [abs(complex(a)) for a in coeffs]
-    if not any(m > 0 for m in mags):
+    c = [complex(a) for a in coeffs]
+    if not any(c):
         raise ValueError("the zero polynomial is not classifiable")
-    scale = max(mags)
-    prune = default_tolerance().prune_eps
-    d = next(k for k, m in enumerate(mags) if m > prune * scale)
+    d = _scalar_multiplicity(c, 0j, default_tolerance())
     if d <= 1:
         return ZeroSetDescription(kind=ZeroSetKind.EMPTY)
     witness = Zeon.blade(n, (1,))

@@ -1,6 +1,8 @@
 """The term kernels against the dense oracle."""
 
+import cmath
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -628,3 +630,98 @@ class TestDenseShapes:
             got = a.mul_add(b, c[0]) if c else a.mul(b)
         digest = hashlib.sha256(repr(got.terms()).encode()).hexdigest()
         assert digest[:16] == self.PINNED[key]
+
+
+def running_taylor(x: Zeon, a) -> Zeon:
+    """``sum_k a[k] x**k`` for coefficients of non-increasing magnitude,
+    as a running sum of ``Zeon.add``: each power is carried scaled to
+    its coefficient, ``x**k a[k] = x**(k-1) a[k-1] * x * (a[k] / a[k-1])``,
+    the steps the Taylor sum takes for such coefficients."""
+    total = Zeon.scalar(x.n, a[0])
+    p, size = x, 1.0
+    for k in range(1, len(a)):
+        if k > 1:
+            p = p.mul(x)
+        if p.is_zero():
+            break
+        if a[k] != size:
+            p, size = p.scale(a[k] / size), a[k]
+        total = total.add(p)
+    return total
+
+
+class TestInOrderSums:
+    """``combine_terms`` adds each mask's coefficients left to right, as
+    a running sum does, so a Taylor sum on an array-form element can sum
+    all its scaled powers in one call and still give the running sum's
+    bits."""
+
+    @pytest.fixture
+    def combines(self, monkeypatch):
+        """Sizes of the ``combine_terms`` calls made through the module."""
+        calls = []
+        kernel = _backend.combine_terms
+
+        def counted(masks, coefs, prune):
+            calls.append(masks.size)
+            return kernel(masks, coefs, prune)
+
+        monkeypatch.setattr(_backend, "combine_terms", counted)
+        return calls
+
+    def test_runs_sum_left_to_right(self, rng):
+        # one mask per run length 3..13, shuffled through the input, with
+        # magnitudes over twelve decades so that another order of the
+        # additions rounds differently
+        lengths = np.arange(3, 14)
+        for _ in range(20):
+            masks = np.repeat(lengths.astype(np.uint64) * 37, lengths)
+            rng.shuffle(masks)
+            coefs = ((rng.normal(size=masks.size)
+                      + 1j * rng.normal(size=masks.size))
+                     * 10.0 ** rng.uniform(-6, 6, size=masks.size))
+            want = {}
+            for m, c in zip(masks.tolist(), coefs.tolist()):
+                want[m] = want[m] + c if m in want else c
+            got = combine_terms(masks, coefs, 0.0)
+            assert got[0].tolist() == sorted(want)
+            assert repr(got[1].tolist()) == repr([want[m]
+                                                  for m in sorted(want)])
+
+    def test_wide_inverse_is_one_running_sum(self, combines):
+        gen = np.random.default_rng(20211)
+        n = 10
+        u = TestDenseShapes.draw(gen, n, 128, scalar=1.5 - 0.5j)
+        c = u.scalar_part()
+        x = u.dual_part().scale(-1.0 / c)
+        assert len(x.terms()) > _backend.SMALL_TERMS
+        want = running_taylor(x, [1.0 / c] * (n + 1))
+        combines.clear()
+        got = u.inverse()
+        assert len(combines) == 1
+        assert repr(got.terms()) == repr(want.terms())
+
+    def test_wide_exp_is_one_running_sum(self, combines):
+        from zeon.analytic import EXP, ZeonExtension, extend_eval
+
+        gen = np.random.default_rng(7)
+        n = 9
+        s = 0.3 + 0.2j
+        u = TestDenseShapes.draw(gen, n, 128, scalar=s)
+        a = [cmath.exp(s) / math.factorial(k) for k in range(n + 1)]
+        want = running_taylor(u.dual_part(), a)
+        combines.clear()
+        got = extend_eval(ZeonExtension(EXP, n), u)
+        assert len(combines) == 1
+        assert repr(got.terms()) == repr(want.terms())
+
+    def test_tuple_form_sum_never_combines(self, combines):
+        # four disjoint atoms: every power and partial sum has at most
+        # 2**4 terms, so it all stays in tuple form
+        n = 8
+        u = Zeon(n, {(): 3.0, (1,): 1.0, (2,): 2j, (3, 4): 1.0, (5,): -1.0})
+        want = running_taylor(u.dual_part().scale(-1 / 3.0),
+                              [1 / 3.0] * (n + 1))
+        got = u.inverse()
+        assert combines == []
+        assert repr(got.terms()) == repr(want.terms())

@@ -508,6 +508,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_nilpotent_zeros([0.0, 0.0], n=2)
 
+    def test_tiny_constant_agrees_with_membership(self):
+        # f(z{1}) = 1e-20, not 0: the classification and the membership
+        # test read the same valuation, 0, so neither finds a zero
+        coeffs = [1e-20, 0.0, 1.0]
+        out = classify_nilpotent_zeros(coeffs, n=2)
+        assert out.kind is ZeroSetKind.EMPTY
+        assert not is_extension_zero(coeffs, Zeon.blade(2, (1,)))
+
     def test_no_generators_rejected(self):
         with pytest.raises(ValueError):
             classify_nilpotent_zeros([0.0, 0.0, 1.0], n=0)
