@@ -7,12 +7,15 @@ complexes, more as read-only uint64/complex128 arrays.  Small elements
 are the common case (a few terms, n <= 8), where a numpy call costs more
 than the arithmetic.  So ``Zeon.mul_add`` alone picks a product's
 kernel, from the pair count whatever the operands' forms: ``dict_mul``
-(arrays listed) up to ``SMALL_PAIRS`` pairs, ``mul_terms`` above.  A sum
-or canonicalisation of up to ``SMALL_TERMS`` terms runs ``dict_sum``,
-and a larger one a stable argsort and ``np.add.at``: each mask's
-coefficients in input order, as in ``dict_sum``, so one call over a
-Taylor sum's powers gives a running sum's bits.  A product's sums run
-the faster ``np.add.reduceat``, in another order on runs of 3 or more.  A wide
+(arrays listed) up to ``SMALL_PAIRS`` pairs, ``mul_terms`` above.  And
+``algebra._sum`` alone picks a sum's kernel, from the operands' forms:
+one ``dict_sum`` over their tuples when every operand holds tuples,
+whatever the count, else one ``add_terms`` call.  ``combine_terms``
+canonicalises up to ``SMALL_TERMS`` terms with ``dict_sum``, and more
+with a stable argsort and ``np.add.at``: each mask's coefficients in
+input order, as in ``dict_sum``, so one sum over a Taylor sum's powers
+gives a running sum's bits on either kernel.  A product's sums run the
+faster ``np.add.reduceat``, in another order on runs of 3 or more.  A wide
 product forms only its disjoint pairs (z{I} z{J} = z{I u J} when I and
 J are disjoint, else 0), which one outer AND finds: at n = 9 to 11 with
 random blades that is 4-7% of them.  Its AND, unions and sort key run in

@@ -319,14 +319,7 @@ class Zeon:
 
     def add(self, other: "Zeon") -> "Zeon":
         self._check_same_algebra(other)
-        prune = _context.get().prune_eps
-        if type(self._idx) is tuple and type(other._idx) is tuple:
-            return _raw(self.n, *dict_sum(self._idx + other._idx,
-                                          self._coef + other._coef, prune))
-        to_arrays = _backend.to_arrays
-        return _raw(self.n, *_backend.add_terms(
-            *to_arrays(self._idx, self._coef),
-            *to_arrays(other._idx, other._coef), prune))
+        return _sum(self.n, (self, other))
 
     def scale(self, c: complex) -> "Zeon":
         c = complex(c)
@@ -491,6 +484,22 @@ def _raw(n: int, masks, coefs) -> Zeon:
     return _fill(object.__new__(Zeon), n, masks, coefs)
 
 
+def _sum(n: int, parts) -> Zeon:
+    """Sum of canonical elements, each blade's coefficients added in the
+    order of ``parts`` and pruned once: by one ``dict_sum`` when every
+    part holds tuples, else by one ``add_terms`` call."""
+    prune = _context.get().prune_eps
+    masks, coefs = (), ()
+    for p in parts:
+        if type(p._idx) is not tuple:
+            to_arrays = _backend.to_arrays
+            return _raw(n, *_backend.add_terms(*[
+                t for q in parts for t in to_arrays(q._idx, q._coef)], prune))
+        masks += p._idx
+        coefs += p._coef
+    return _raw(n, *dict_sum(masks, coefs, prune))
+
+
 def _coerce(value: ZeonLike, n: int) -> Zeon:
     if isinstance(value, Zeon):
         return value
@@ -514,15 +523,13 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
     power is pruned below the size of a term still to come, a dip in the
     coefficients (``cos`` at pi) erases nothing after it, and falling
     coefficients (a root at a large scalar) shrink the power with them.
-    A tuple-form ``x`` adds each power to a running total; an array-form
-    one adds them all in one ``add_terms`` call, in the same order.
+    The scalar term and then the scaled powers are summed once by ``_sum``.
     """
     a = list(itertools.islice(coeffs, x.n + 1))
     # big[k]: the coefficient of largest magnitude among a[k:]
     big = list(itertools.accumulate(
         reversed(a), lambda b, c: c if abs(c) > abs(b) else b))[::-1]
-    total = Zeon.scalar(x.n, a[0]) if a else Zeon.zero(x.n)
-    parts = [] if type(x._idx) is tuple else [total]  # summed at the end
+    parts = [Zeon.scalar(x.n, a[0])] if a else []
     term, size = x, 1.0
     for k in range(1, len(a)):
         if k > 1:
@@ -535,16 +542,8 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
         if big[k] != size:
             term, size = term.scale(big[k] / size), big[k]
         if a[k] != 0:
-            part = term if a[k] == size else term.scale(a[k] / size)
-            if parts:
-                parts.append(part)
-            else:
-                total = total.add(part)
-    if parts:
-        arrays = (_backend.to_arrays(p._idx, p._coef) for p in parts)
-        total = _raw(x.n, *_backend.add_terms(
-            *itertools.chain.from_iterable(arrays), _context.get().prune_eps))
-    return total
+            parts.append(term if a[k] == size else term.scale(a[k] / size))
+    return _sum(x.n, parts)
 
 
 # -- roots ----------------------------------------------------------------

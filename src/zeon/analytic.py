@@ -246,6 +246,8 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     slope = abs(_derivative(fn, z_at, 1))
     if slope <= tol.root_eps:
         raise NotSpectrallySimple(f"{z_at} is a critical point of {fn.name}")
+    if ext.n == 0:  # nothing to lift, and psi would be the zero polynomial
+        return Zeon.scalar(0, z_at)
     psi = polynomial_form(ext, z_at) - ZeonPoly([w], n=ext.n)
     zero = spectrally_simple_zero(psi, z_at).zero
     if slope * slope <= bound:

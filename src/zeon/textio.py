@@ -174,6 +174,8 @@ def parse_zeon(text: str, n: int) -> Zeon:
                 raise ValueError(f"bad index list in {part!r}") from exc
             if head.endswith("*"):
                 head = head[:-1]
+                if not head:
+                    raise ValueError(f"no coefficient before '*' in {part!r}")
             coeff = parse_complex(head) if head else 1.0 + 0j
         else:
             indices = ()

@@ -326,6 +326,13 @@ class TestPreimage:
         z = preimage(e, w, 0.0)
         assert e.eval(z).isclose(w, eps=1e-9)
 
+    def test_scalar_algebra_has_nothing_to_lift(self):
+        # at n = 0 the polynomial form minus w is a pruned constant, the
+        # zero polynomial, so the preimage is the polished scalar itself
+        got = preimage(ext("exp", 0), Zeon.scalar(0, 2.0), 0.5)
+        assert got.n == 0 and got.is_scalar()
+        assert got.scalar_part() == pytest.approx(cmath.log(2), abs=1e-12)
+
     def test_seed_polish_stops_at_rounding(self, monkeypatch):
         # the lift polishes its seed on the scalar projection of log's
         # polynomial form, where the Horner residual is rounding noise;

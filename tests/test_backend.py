@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_zeon, to_dense
-from oracle import dense_from_terms, dense_mul, sparse_mul
+from oracle import (dense_from_terms, dense_inverse, dense_mul,
+                    sparse_mul)
 from zeon import (DimensionMismatch, NonFiniteResult, Tolerance, Zeon,
                   ZeonError, backend_name, tolerance)
 from zeon import _backend
@@ -651,10 +652,12 @@ def running_taylor(x: Zeon, a) -> Zeon:
 
 
 class TestInOrderSums:
-    """``combine_terms`` adds each mask's coefficients left to right, as
-    a running sum does, so a Taylor sum on an array-form element can sum
-    all its scaled powers in one call and still give the running sum's
-    bits."""
+    """``dict_sum`` and ``combine_terms`` both add each mask's
+    coefficients left to right, as a running sum does.  So a sum of
+    elements, a Taylor sum's scaled powers or the two operands of
+    ``Zeon.add``, is canonicalised once, by one ``dict_sum`` when every
+    part holds tuples and by one ``combine_terms`` call otherwise, and
+    still gives the running sum's bits."""
 
     @pytest.fixture
     def combines(self, monkeypatch):
@@ -725,3 +728,95 @@ class TestInOrderSums:
         got = u.inverse()
         assert combines == []
         assert repr(got.terms()) == repr(want.terms())
+
+    def test_tuple_powers_with_wide_total_never_combine(self, combines):
+        # every power has at most 10 terms, but the sum has more than
+        # SMALL_TERMS, so a running total would turn wide on the way
+        n = 6
+        u = Zeon(n, {(): 2.0, (1,): 1.0, (2,): 0.5j, (3, 4): 0.25,
+                     (5,): -1.0, (1, 6): 0.3})
+        c = u.scalar_part()
+        x = u.dual_part().scale(-1.0 / c)
+        want = running_taylor(x, [1.0 / c] * (n + 1))
+        assert len(want.terms()) > _backend.SMALL_TERMS
+        combines.clear()
+        got = u.inverse()
+        assert combines == []
+        assert repr(got.terms()) == repr(want.terms())
+        assert np.allclose(to_dense(got), dense_inverse(to_dense(u)),
+                           rtol=0.0, atol=1e-13)
+
+    @staticmethod
+    def spread(gen, n: int, masks) -> Zeon:
+        """``1.5 - 0.5i`` plus the blades ``masks``, with coefficients
+        over four decades, so that where a blade gathers the terms of
+        three or more powers another order of their sum rounds
+        differently."""
+        masks = np.sort(masks)
+        size = masks.size
+        coefs = ((gen.normal(size=size) + 1j * gen.normal(size=size))
+                 * 10.0 ** gen.uniform(-2, 2, size=size))
+        return zeon_of(n, np.concatenate([[0], masks]),
+                       np.concatenate([[1.5 - 0.5j], coefs]))
+
+    def test_tuple_powers_sum_in_order(self, combines):
+        # at n = 4 every element is in tuple form, so the whole sum is
+        # one dict_sum
+        gen = np.random.default_rng(3)
+        n = 4
+        pool = [m for m in range(1, 1 << n) if m.bit_count() <= 3]
+        u = self.spread(gen, n, gen.choice(pool, size=11, replace=False))
+        c = u.scalar_part()
+        want = running_taylor(u.dual_part().scale(-1.0 / c),
+                              [1.0 / c] * (n + 1))
+        combines.clear()
+        got = u.inverse()
+        assert combines == []
+        assert repr(got.terms()) == repr(want.terms())
+
+    def test_tuple_element_with_wide_powers_combines_once(self, combines):
+        # every generator and seven grade-2 blades: 15 terms, whose
+        # square has more than SMALL_TERMS
+        gen = np.random.default_rng(5)
+        n = 8
+        pairs = [m for m in range(1 << n) if m.bit_count() == 2]
+        u = self.spread(gen, n, np.concatenate(
+            [1 << np.arange(n), gen.choice(pairs, size=7, replace=False)]))
+        c = u.scalar_part()
+        x = u.dual_part().scale(-1.0 / c)
+        assert type(x._idx) is tuple and type(x.mul(x)._idx) is not tuple
+        want = running_taylor(x, [1.0 / c] * (n + 1))
+        combines.clear()
+        got = u.inverse()
+        assert len(combines) == 1
+        assert repr(got.terms()) == repr(want.terms())
+
+    @staticmethod
+    def folded(*parts) -> list:
+        """Terms of the sum of ``parts``, each blade's coefficients added
+        left to right and pruned once, at the default ``prune_eps``."""
+        acc = {}
+        for p in parts:
+            for m, (_, c) in zip(p.support_masks(), p.terms()):
+                acc[m] = acc[m] + c if m in acc else c
+        prune = Tolerance().prune_eps
+        return [(indices_of(m), c) for m, c in sorted(acc.items())
+                if abs(c) > prune]
+
+    @pytest.mark.parametrize("sizes", [(16, 16), (16, 40), (40, 16)])
+    def test_add_is_one_in_order_sum(self, rng, sizes):
+        n = 6
+        ma, ca = canonical(rng, n, sizes[0])
+        # b shares a's first four blades, the first with the opposite
+        # coefficient, so that one cancels and is pruned after the sum
+        rest = np.setdiff1d(np.arange(1 << n, dtype=np.uint64), ma)
+        mb = np.sort(np.concatenate(
+            [ma[:4], rng.choice(rest, size=sizes[1] - 4, replace=False)]))
+        cb = rng.normal(size=sizes[1]) + 1j * rng.normal(size=sizes[1])
+        cb[mb == ma[0]] = -ca[0]
+        a, b = zeon_of(n, ma, ca), zeon_of(n, mb, cb)
+        assert [type(u._idx) is tuple for u in (a, b)] == [
+            k <= _backend.SMALL_TERMS for k in sizes]
+        got = a.add(b)
+        assert int(ma[0]) not in got.support_masks()
+        assert repr(got.terms()) == repr(self.folded(a, b))

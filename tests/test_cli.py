@@ -144,6 +144,13 @@ class TestCommands:
                            "--seed", "0", "1 + z{1}")
         assert (code, out) == (0, "z{1}\n")
 
+    def test_preimage_in_scalar_algebra(self):
+        code, out, _ = run("preimage", "--fn", "exp", "--n", "0",
+                           "--seed", "0.5", "2")
+        assert code == 0
+        assert parse_zeon(out.strip(), 0).isclose(
+            Zeon.scalar(0, math.log(2)), eps=1e-12)
+
     def test_preimage_cosine_round_trip(self):
         w_text = "0.8660254037844386 + 3*z{1} + z{1,2} - z{4}"
         code, out, _ = run("preimage", "--fn", "cos", "--n", "4",
@@ -691,6 +698,11 @@ class TestErrors:
     def test_unparseable_element(self):
         code, _, err = run("inv", "--n", "1", "1 + q{1}")
         assert code == 1
+        assert error_name(err) == "ParseError"
+
+    def test_bare_star_is_parse_error(self):
+        code, out, err = run("inv", "--n", "1", "1 + *z{1}")
+        assert (code, out) == (1, "")
         assert error_name(err) == "ParseError"
 
     def test_not_invertible_exit_2(self):

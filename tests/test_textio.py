@@ -116,6 +116,8 @@ class TestZeonText:
         ("(1+1i)*z{1}", Zeon(2, {(1,): 1 + 1j})),
         ("1+z{1}", Zeon.one(2) + Z1),
         ("  1  +  z{1} ", Zeon.one(2) + Z1),
+        ("z{1}", Z1),
+        ("0.0001 z{1}", Zeon(2, {(1,): 0.0001})),
     ])
     def test_parse(self, text, expect):
         assert parse_zeon(text, 2) == expect
@@ -140,7 +142,7 @@ class TestZeonText:
 
     @pytest.mark.parametrize("bad", [
         "z{0}", "z{3}", "z{1,1}", "z{2,1,2}", "z{}", "z{1", "1 +", "q*z{1}",
-        "z{1}z{2}",
+        "z{1}z{2}", "*z{1}", "-*z{1}", "1 + *z{2}",
     ])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
