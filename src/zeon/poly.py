@@ -212,11 +212,10 @@ class ZeonPoly:
         if not isinstance(other, ZeonPoly):
             return NotImplemented
         self._check(other)
-        size = max(len(self.coeffs), len(other.coeffs))
-        return ZeonPoly(
-            [self.coeff(k).add(other.coeff(k)) for k in range(size)],
-            n=self.n,
-        )
+        a, b = self.coeffs, other.coeffs
+        # shared degrees add; the longer operand's tail is kept as it is
+        return ZeonPoly([*map(Zeon.add, a, b), *a[len(b):], *b[len(a):]],
+                        n=self.n)
 
     def __sub__(self, other: "ZeonPoly") -> "ZeonPoly":
         if not isinstance(other, ZeonPoly):
@@ -251,14 +250,10 @@ class ZeonPoly:
         return hash((self.n, self.coeffs))
 
     def isclose(self, other: "ZeonPoly", *, eps: float | None = None) -> bool:
-        self._check(other)
+        diff = self - other
         if eps is None:
             eps = default_tolerance().eq_eps
-        size = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            (self.coeff(k) - other.coeff(k)).max_abs() <= eps
-            for k in range(size)
-        )
+        return all(c.max_abs() <= eps for c in diff.coeffs)
 
     def __repr__(self) -> str:
         from .textio import format_poly
@@ -471,7 +466,7 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
     Earlier layers feed later residuals through the running root's
     square.
     """
-    bottom = list(zip(v_g.support_masks(), [c for _, c in v_g.terms()]))
+    bottom = list(zip(*v_g._tuples()))
     v = v_g
     for grade in range(g + 1, min(w.n - g, len(gen_bits)) + 1):
         residual = (w.grade_part(g + grade)
@@ -531,7 +526,7 @@ def _blade_bottoms(w: Zeon, gen_bits: list[int], h: int) -> Iterator[Zeon]:
     largest ``|w[K]|``, or ``a = 1`` without such a ``K``; a zero ``a``
     skips ``B``.  The caller completes and verifies.
     """
-    c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
+    c = dict(zip(*w._tuples()))
     common = ~0
     for mk in w.min_grade_part().support_masks():
         common &= mk
@@ -566,7 +561,7 @@ def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
     first candidate misses the grade-2 part, since no split changes
     whether it matches there.  The caller verifies the completed root.
     """
-    c = dict(zip(w.support_masks(), [v for _, v in w.terms()]))
+    c = dict(zip(*w._tuples()))
     target = w.grade_part(2)
     pivot = max(target.support_masks(), key=lambda mk: abs(c[mk]))
     p, q = (b for b in gen_bits if b & pivot)

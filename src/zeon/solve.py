@@ -144,7 +144,9 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     surfaces as a cluster: its Aberth approximations cannot
     individually do better than a radius that grows with the
     multiplicity, but they surround the true root, and the polish step
-    then restores full accuracy.
+    then restores full accuracy.  A real polynomial's real roots come
+    back real: a center within rounding noise of the real axis is
+    polished again in real arithmetic.
 
     Results are sorted by (real, imaginary) part.  Raises
     :class:`RootFindingFailed` with partial results when the iteration
@@ -205,7 +207,8 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     # noise; each point's noise radius widens the merge test exactly
     # there, while at a simple root it stays near machine epsilon
     err = [_noise_radius(monic, zi) for zi in z]
-    merged = _cluster_and_polish(monic, z, tol.cluster_eps * scale, err)
+    merged = _cluster_and_polish(monic, z, tol.cluster_eps * scale, err,
+                                 not any(a.imag for a in c))
     merged.sort(key=lambda p: (p[0].real, p[0].imag))
     out = [ScalarRoot(_ldexp(v, e), ell, ell == 1) for v, ell in merged]
     # step sizes are a poor health signal (an m-fold stall radius grows
@@ -242,7 +245,7 @@ def _noise_radius(monic: list[complex], z: complex) -> float:
 
 
 def _cluster_and_polish(monic: list[complex], pts: list[complex],
-                        radius: float, err: list[float],
+                        radius: float, err: list[float], real: bool,
                         ) -> list[tuple[complex, int]]:
     m = len(pts)
     parent = list(range(m))
@@ -271,6 +274,13 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
             target = _der(target)
         center = _newton(partial(_horner, target),
                          partial(_horner, _der(target)), center)
+        # a real polynomial's root whose imaginary part is rounding
+        # noise, judged at the center itself, is real
+        if (real and center.imag
+                and abs(center.imag) <= 8.0 * _noise_radius(monic, center)):
+            target = [a.real for a in target]
+            center = _newton(partial(_horner, target),
+                             partial(_horner, _der(target)), center.real)
         out.append((center, ell))
     return out
 
@@ -338,7 +348,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
         g = min(live)[0]
         trace.append(g)
         masks, coefs = zip(*[(m, c) for k, m, c in live if k == g])
-        lam = lam - _raw(phi.n, masks, coefs).scale(1.0 / g0)
+        lam = lam.add(_raw(phi.n, masks, coefs).scale(-1.0 / g0))
     residual = value.max_abs()
     if residual > tol.eq_eps * scale:
         raise RootFindingFailed(

@@ -103,6 +103,18 @@ class TestCommands:
         assert len(report["warnings"]) == 1
         assert report["input_digest"]
 
+    def test_solve_real_cubic_is_real(self):
+        # a real scalar projection, (u - 1)(u - 2)(u - 3): its roots and
+        # the zeros above them carry no imaginary part
+        code, out, _ = run("solve", "--n", "2", "-6 + z{1}; 11 - z{2}; -6; 1")
+        assert code == 0
+        report = json.loads(out)
+        spectrum = report["scalar_spectrum"]
+        assert [r["value"]["im"] for r in spectrum] == [0.0] * 3
+        zeros = [z["zero"] for z in report["spectral_zeros"]]
+        assert len(zeros) == 3
+        assert not any("i" in z for z in zeros)
+
     # (u - (1 + z{1} + z{3})) (u - (1.000001 + z{2} + z{1,2,3})): the lift
     # above the root near 1.000001 stalls, which the report carries as
     # a warning while the other root is lifted

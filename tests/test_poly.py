@@ -221,6 +221,62 @@ class TestArithmetic:
         q = scalar_poly(1, 1.0 + 1e-12)
         assert p.isclose(q)
         assert not p.isclose(scalar_poly(1, 1.0 + 1e-3))
+        # on unequal lengths the longer operand's tail is judged too
+        near = ZeonPoly([1.0, 0.0, Zeon.blade(1, (1,), 1e-12)], n=1)
+        far = ZeonPoly([1.0, 0.0, Zeon.blade(1, (1,), 1e-3)], n=1)
+        assert p.isclose(near) and near.isclose(p)
+        assert not p.isclose(far) and not far.isclose(p)
+        assert p.isclose(far, eps=1e-2) and far.isclose(p, eps=1e-2)
+
+    def test_isclose_with_a_non_polynomial_is_a_type_error(self):
+        p = ZeonPoly([Z1])
+        for other in (1, Z1):
+            with pytest.raises(TypeError):
+                p.isclose(other)
+        with pytest.raises(DimensionMismatch):
+            p.isclose(scalar_poly(1, 1.0))
+
+    def test_add_adds_only_shared_degrees(self, monkeypatch):
+        # a degree-8 plus a degree-0 polynomial shares one degree, so it
+        # makes one coefficient add, not one per degree of the longer
+        long = ZeonPoly([Zeon(2, {(): k + 1, (1,): 0.5}) for k in range(9)])
+        short = ZeonPoly([Z2])
+        calls = []
+        add = Zeon.add
+
+        def counted(a, b):
+            calls.append(a)
+            return add(a, b)
+
+        monkeypatch.setattr(Zeon, "add", counted)
+        for a, b in ((long, short), (short, long)):
+            calls.clear()
+            s = a + b
+            assert len(calls) == 1
+            assert s.coeffs[1:] == long.coeffs[1:]
+            assert s.coeff(0) == Zeon(2, {(): 1, (1,): 0.5, (2,): 1})
+
+    def test_sums_match_a_zero_padded_fold(self, rng):
+        # every degree up to the longer operand added, the shorter one
+        # padded with zeros: a sum must equal this coefficient by
+        # coefficient, to the last bit
+        def fold(a, b):
+            pad = [Zeon.zero(n)] * max(len(a), len(b))
+            return ZeonPoly([x.add(y) for x, y in zip(
+                a + pad[len(a):], b + pad[len(b):])], n=n)
+
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            la, lb = rng.choice(np.arange(1, 7), size=2, replace=False)
+            a = [random_zeon(rng, n) for _ in range(la)]
+            b = [random_zeon(rng, n) for _ in range(lb)]
+            p, q = ZeonPoly(a, n=n), ZeonPoly(b, n=n)
+            neg_b = [y.scale(-1.0) for y in b]
+            for got, want in ((p + q, fold(a, b)), (q + p, fold(b, a)),
+                              (p - q, fold(a, neg_b))):
+                assert got == want
+                assert list(map(repr, got.coeffs)) == list(
+                    map(repr, want.coeffs))
 
     def test_repr_mentions_text_form(self):
         p = scalar_poly(1, 1.0, 2.0)

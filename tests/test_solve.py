@@ -76,6 +76,30 @@ class TestScalarRoots:
         roots = scalar_roots([1.0, 0.0, 1.0])
         assert [r.value for r in roots] == pytest.approx([-1j, 1j])
 
+    def test_real_roots_of_real_polynomials_are_real(self):
+        # 500 real-rooted polynomials of degree 2-6: every root comes
+        # back with no imaginary part, near the constructed one
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            want = np.sort(3 * rng.normal(size=int(rng.integers(2, 7))))
+            roots = scalar_roots(np.poly(want)[::-1])
+            assert all(r.value.imag == 0 for r in roots)
+            got = [r.value.real for r in roots for _ in range(r.multiplicity)]
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ([1, 0, 1], [-1j, 1j]),
+        ([1, 0, 0, 0, 1], [cmath.exp(1j * math.pi * (2 * k + 1) / 4)
+                           for k in range(4)]),
+        # (u - 2)**2 (u**2 + 1e-12): a pair 1e-6 off the real axis
+        (np.polymul([1, -4, 4], [1, 0, 1e-12])[::-1], [-1e-6j, 1e-6j]),
+    ])
+    def test_real_polynomials_keep_non_real_roots(self, coeffs, want):
+        non_real = [r.value for r in scalar_roots(coeffs) if r.value.imag]
+        assert len(non_real) == len(want)
+        for w in want:
+            assert min(abs(v - w) for v in non_real) <= 1e-12
+
     def test_zero_top_coefficient_lowers_degree(self):
         (r,) = scalar_roots([1, -1, 0])
         assert (r.value, r.multiplicity) == (1, 1)
@@ -386,6 +410,22 @@ class TestSpectrallySimpleZero:
         for r in roots:
             assert min((z.zero - r).max_abs()
                        for z in report.spectral_zeros) <= 1e-9
+
+    def test_lift_adds_each_correction_once(self, rng, monkeypatch):
+        # the update adds the scaled correction; a subtraction would
+        # negate it a second time
+        n = 4
+        roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
+                 for s in (-1.5, 0.5 - 1.0j, 2.0)]
+        phi = ZeonPoly.from_roots(n, roots)
+
+        def no_sub(self, other):
+            raise AssertionError("the lift subtracted")
+
+        monkeypatch.setattr(Zeon, "__sub__", no_sub)
+        for r in roots:
+            lifted = spectrally_simple_zero(phi, r.scalar_part()).zero
+            assert lifted.add(r.scale(-1.0)).max_abs() <= 1e-9
 
 
 # -- split ------------------------------------------------------------------
