@@ -579,7 +579,7 @@ def kth_roots(w: Zeon, k: int) -> list[Zeon]:
     results are pairwise distinct because their scalar parts are.
     """
     root = principal_kth_root(w, k)
-    return [root.scale(_unit_root(j, k)) for j in range(k)]
+    return [root, *(root.scale(_unit_root(j, k)) for j in range(1, k))]
 
 
 def _unit_root(j: int, k: int) -> complex:

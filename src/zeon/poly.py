@@ -33,9 +33,11 @@ from .algebra import (
     _check_n,
     _coerce,
     _invertible,
+    _raw,
     default_tolerance,
     mask_to_indices,
     principal_kth_root,
+    tolerance,
 )
 from .errors import (
     DimensionMismatch,
@@ -270,27 +272,24 @@ def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
     """Division with remainder: ``phi = psi * q + r`` with ``deg r < deg psi``.
 
     Requires the divisor's leading coefficient to be invertible, which
-    makes the pair ``(q, r)`` unique.  Each elimination step cancels the
-    current leading term exactly by construction, so the top slot is
-    dropped outright rather than left to float noise.
+    makes the pair ``(q, r)`` unique.  One sweep runs from the top
+    degree down: each step pops the top coefficient, which its step
+    cancels exactly by construction, takes it times the inverse lead as
+    a quotient coefficient, and adds that factor times the divisor's
+    lower coefficients, negated once up front, into the slots below.
     """
     phi._check(psi)
     lead_inv = psi._invertible_lead(DivisorNotMonicizable).inverse()
-    dpsi = psi.degree
+    low = [c.scale(-1.0) for c in psi.coeffs[:-1]]
     rem = list(phi.coeffs)
-    quot = [Zeon.zero(phi.n)] * max(0, len(rem) - dpsi)
-    while len(rem) - 1 >= dpsi and rem:
-        shift = len(rem) - 1 - dpsi
-        factor = rem[-1].mul(lead_inv)
-        quot[shift] = factor
-        neg = factor.scale(-1.0)
-        for j in range(dpsi):
-            rem[shift + j] = psi.coeffs[j].mul_add(neg, rem[shift + j])
-        rem.pop()
-        while rem and rem[-1].is_zero():
-            rem.pop()
+    quot = []
+    for shift in range(len(rem) - len(low) - 1, -1, -1):
+        factor = rem.pop().mul(lead_inv)
+        quot.append(factor)
+        for j, c in enumerate(low, shift):
+            rem[j] = c.mul_add(factor, rem[j])
     return DivisionResult(
-        quotient=ZeonPoly(quot, n=phi.n),
+        quotient=ZeonPoly(quot[::-1], n=phi.n),
         remainder=ZeonPoly(rem, n=phi.n),
     )
 
@@ -306,10 +305,33 @@ def remainder_at(phi: ZeonPoly, z: ZeonLike) -> Zeon:
 
 
 def discriminant(alpha: Zeon, beta: Zeon, gamma: Zeon) -> Zeon:
-    """``beta**2 - 4*alpha*gamma`` of the quadratic with those coefficients."""
+    """``beta**2 - 4*alpha*gamma`` of the quadratic with those
+    coefficients, less its rounding dust.
+
+    The coefficient at a grade-``g`` blade sums ``m = 2**(g+1)`` complex
+    products, ``2**g`` each from ``beta*beta`` and ``alpha*gamma``.  A
+    product rounds within ``sqrt(5)/2 eps`` of its magnitude and each
+    addition within ``eps/2`` of the magnitudes it sums, so the computed
+    coefficient is off by at most ``(2**g + sqrt(5))/2 eps`` (to first
+    order) times the same sum over coefficient magnitudes,
+    ``|beta|*|beta| + 4 |alpha|*|gamma|`` at that blade.  A term at or
+    below ``m eps`` times that sum may be all rounding and is dropped.
+    """
     if not (alpha.n == beta.n == gamma.n):
         raise DimensionMismatch("quadratic coefficients mix algebras")
-    return beta.mul(beta) - alpha.mul(gamma).scale(4.0)
+    delta = beta.mul(beta) - alpha.mul(gamma).scale(4.0)
+    # the magnitude sums, unpruned; the left factors carry eps (exactly,
+    # a power of two), so the sums stay finite wherever delta does
+    eps = 2.0 ** -52
+    ea, g, eb, b = (_raw(x.n, x._tuples()[0],
+                         [s * abs(c) for c in x._tuples()[1]])
+                    for x, s in ((alpha, 4 * eps), (gamma, 1.0),
+                                 (beta, eps), (beta, 1.0)))
+    with tolerance(Tolerance(prune_eps=0.0)):
+        floor = dict(zip(*eb.mul_add(b, ea.mul(g))._tuples()))
+    kept = [(m, c) for m, c in zip(*delta._tuples())
+            if abs(c) > (2 << m.bit_count()) * floor.get(m, 0j).real]
+    return _raw(delta.n, [m for m, _ in kept], [c for _, c in kept])
 
 
 # -- nilpotent square roots -------------------------------------------------
@@ -638,7 +660,9 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
     family around the double point, and a nonzero nilpotent
     discriminant has zeros only if it admits a square root, in which
     case adding any multiple of the top blade to ``w`` gives another
-    root and the zero set is infinite.
+    root and the zero set is infinite.  The discriminant comes without
+    its rounding dust (see :func:`discriminant`), so NoZeros is
+    certified only by a grade-1 term above the rounding floor.
     """
     if not (alpha.n == beta.n == gamma.n):
         raise DimensionMismatch("quadratic coefficients mix algebras")

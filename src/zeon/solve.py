@@ -318,7 +318,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     scale = max(map(abs, f))
     fp = _der(f)
     lam0 = _newton(partial(_horner, f), partial(_horner, fp), complex(lam0))
-    if abs(_horner(f, lam0)) > tol.root_eps * scale:
+    if abs(_horner(f, lam0)) > min(tol.root_eps, tol.eq_eps) * scale:
         raise NotSpectrallySimple(
             f"seed {lam0} is not a root of the scalar projection"
         )
@@ -331,10 +331,6 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     trace: list[int] = []
     while True:
         value = phi.eval(lam)
-        if abs(value.scalar_part()) > tol.eq_eps * scale:
-            raise NotSpectrallySimple(
-                "scalar residual did not vanish at the polished seed"
-            )
         # grades at or below the last corrected one (the scalar part
         # included) vanish exactly in exact arithmetic, so anything
         # surviving there is evaluation dust; the absolute floor keeps

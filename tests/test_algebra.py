@@ -189,6 +189,8 @@ def test_grade_part_examples():
     assert u.grade_part(0) == Zeon.scalar(2, 3.0)
     assert u.grade_part(2) == z(2, ((1, 2), 1.0))
     assert u.grade_part(1) == z(2, ((1,), 1.0))
+    with pytest.raises(ValueError):
+        u.grade_part(-1)
 
 
 def test_grading_completeness(rng):
@@ -429,6 +431,27 @@ def test_kth_roots_reject_non_invertible():
         kth_roots(Z1, 2)
     with pytest.raises(ValueError):
         kth_roots(ONE1, 0)
+
+
+def test_kth_roots_keep_the_principal_root(rng, monkeypatch):
+    # the first root is the principal one as computed, not a copy of it
+    # scaled by 1; the other k - 1 are each one scaling of it
+    w = random_invertible(rng, 4)
+    calls = []
+    scale = Zeon.scale
+
+    def counted(self, c):
+        calls.append(c)
+        return scale(self, c)
+
+    monkeypatch.setattr(Zeon, "scale", counted)
+    for k in (1, 2, 5):
+        calls.clear()
+        principal = principal_kth_root(w, k)
+        own = len(calls)
+        roots = kth_roots(w, k)
+        assert repr(roots[0]) == repr(principal)
+        assert len(calls) - 2 * own == k - 1
 
 
 def test_kth_roots_deterministic_and_distinct(rng):

@@ -17,8 +17,10 @@ from zeon import (
     ZeonExtension,
     ZeonPoly,
     by_name,
+    default_tolerance,
     extend_eval,
     polynomial_form,
+    power_function,
     preimage,
     principal_kth_root,
 )
@@ -132,6 +134,12 @@ class TestExtendEval:
     def test_pow_two_is_square(self, rng):
         u = random_zeon(rng, 3)
         assert ext("pow(2)", 3).eval(u).isclose(u.mul(u))
+
+    def test_integral_power_at_zero(self):
+        # the scalar part 0 takes the exact branch of z**p at 0
+        u = Z1 + Z2
+        assert extend_eval(ZeonExtension(power_function(2), 2), u) \
+            == Z12.scale(2.0)
 
     def test_pow_zero_is_one(self, rng):
         u = random_zeon(rng, 3)
@@ -379,6 +387,19 @@ class TestPreimage:
         # creeps to within 3e-8 of pi, where the lift misses w
         with pytest.raises(RootFindingFailed):
             preimage(ext("cos", 2), Zeon(2, {(): -1, (1,): 1}), 3.0)
+
+    def test_image_check_refuses_an_ill_conditioned_lift(self):
+        # a scalar preimage 1e-6 from cos's critical point pi: the slope
+        # squared is below the seed bound, so the lift's image is
+        # checked, and it misses w by 1.3e-6
+        z0 = math.pi - 1e-6
+        e = ext("cos", 3)
+        w = extend_eval(e, Zeon(3, {(): z0, (1,): 0.5, (2,): 1.0,
+                                    (3,): 1.5}))
+        with pytest.raises(RootFindingFailed, match="lift misses w") as info:
+            preimage(e, w, z0)
+        miss = (extend_eval(e, info.value.partial) - w).max_abs()
+        assert miss > default_tolerance().eq_eps * max(1.0, w.max_abs())
 
     def test_seed_outside_domain_rejected(self):
         # a seed on the cut, and a seed whose first Newton step for

@@ -495,6 +495,15 @@ class TestFileInput:
         report = json.loads(out)
         assert report["spectral_zeros"][0]["zero"] == "1"
 
+    def test_json_file_single_object_for_two_slots(self, tmp_path):
+        # eval reads a polynomial and a point; one object fills one slot
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(
+            {"n": 1, "coeffs": [[{"index": [], "re": 1, "im": 0}]]}))
+        code, _, err = run("eval", "--in", str(f))
+        assert code == 1
+        assert error_name(err) == "ParseError"
+
     def test_n_cross_check(self, tmp_path):
         f = tmp_path / "u.json"
         f.write_text(json.dumps(

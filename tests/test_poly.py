@@ -4,6 +4,9 @@ Frozen expected values in this file were computed with the dense
 reference in ``oracle.py`` (see the derivation comments next to each).
 """
 
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,10 @@ class TestConstruction:
         (lambda: ZeonPoly((), n=-3), ValueError),
         # used to store n=2.5 over n=2 coefficients
         (lambda: ZeonPoly([1, 2], n=2.5), TypeError),
-    ], ids=["zero-40", "empty-negative", "scalars-fractional"])
+        (lambda: ZeonPoly([1, 2]), ValueError),
+        (lambda: ZeonPoly.monomial(2, -1), ValueError),
+    ], ids=["zero-40", "empty-negative", "scalars-fractional",
+            "scalars-without-n", "monomial-negative-degree"])
     def test_explicit_n_is_checked(self, build, error):
         with pytest.raises(error):
             build()
@@ -363,6 +369,83 @@ class TestDivide:
                 assert np.allclose(
                     to_dense(back.coeff(k)), to_dense(phi.coeff(k)),
                     atol=1e-9)
+
+    def test_one_sweep_negates_the_divisor_once(self, monkeypatch):
+        # the divisor's lower coefficients are negated once, before the
+        # sweep, so a degree-8 dividend makes no more scale calls than a
+        # degree-4 one; and the quotient is not pre-filled with zeros
+        psi = ZeonPoly([Zeon.one(2).add(Z1), Z2, Zeon.one(2)])
+        dividends = [ZeonPoly([Zeon(2, {(): k + 1, (1,): 0.5, (1, 2): k})
+                               for k in range(d + 1)]) for d in (4, 8)]
+        calls = []
+        scale = Zeon.scale
+
+        def counted(self, c):
+            calls.append(c)
+            return scale(self, c)
+
+        def no_zero(cls, n):
+            raise AssertionError("divide built a zero element")
+
+        monkeypatch.setattr(Zeon, "scale", counted)
+        monkeypatch.setattr(Zeon, "zero", classmethod(no_zero))
+        counts = []
+        for phi in dividends:
+            calls.clear()
+            divide(phi, psi)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @staticmethod
+    def reference_divide(phi, psi):
+        # long division as a plain fold over the quotient degrees, top
+        # down: each factor is the top slot times the inverse lead, and
+        # each negated divisor coefficient (the left operand) times the
+        # factor is added into the slot it meets
+        lead_inv = psi.lead.inverse()
+        d = psi.degree
+        rem = list(phi.coeffs)
+        quot = {}
+        for k in reversed(range(len(rem) - d)):
+            quot[k] = rem[k + d].mul(lead_inv)
+            for j in range(d):
+                rem[k + j] = psi.coeffs[j].scale(-1.0).mul_add(
+                    quot[k], rem[k + j])
+        return ([quot[k] for k in sorted(quot)], rem[:d])
+
+    def assert_matches_reference(self, phi, psi):
+        out = divide(phi, psi)
+        quot, rem = self.reference_divide(phi, psi)
+        assert repr(out.quotient) == repr(ZeonPoly(quot, n=phi.n))
+        assert repr(out.remainder) == repr(ZeonPoly(rem, n=phi.n))
+        return out
+
+    def test_matches_reference_fold(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            phi = ZeonPoly([random_zeon(rng, n)
+                            for _ in range(int(rng.integers(1, 8)))], n=n)
+            psi = ZeonPoly([random_zeon(rng, n)
+                            for _ in range(int(rng.integers(0, 3)))]
+                           + [random_invertible(rng, n)], n=n)
+            self.assert_matches_reference(phi, psi)
+
+    def test_exact_zero_tops(self):
+        # u**6 + 1 = (u**2 + 1)(u**4 - u**2 + 1): every other top the
+        # sweep meets is an exact zero, whose factor is zero
+        out = self.assert_matches_reference(
+            scalar_poly(2, 1, 0, 0, 0, 0, 0, 1), scalar_poly(2, 1, 0, 1))
+        assert out.quotient == scalar_poly(2, 1, 0, -1, 0, 1)
+        assert out.remainder.is_zero()
+        # the same with dual parts: an even dividend over an even
+        # divisor meets a zero top at every odd degree
+        phi = ZeonPoly([Zeon.one(2), Zeon.zero(2), Z12, Zeon.zero(2),
+                        Z1.scale(3.0), Zeon.zero(2), Zeon.one(2)])
+        psi = ZeonPoly([Zeon.one(2).add(Z2), Zeon.zero(2), Zeon.one(2)])
+        out = self.assert_matches_reference(phi, psi)
+        back = psi * out.quotient + out.remainder
+        assert back.isclose(phi)
+        assert out.remainder.degree < psi.degree
 
     def test_remainder_at_equals_eval(self, rng):
         p = ZeonPoly([random_zeon(rng, 3) for _ in range(4)], n=3)
@@ -681,6 +764,115 @@ class TestQuadraticSolve:
             for z in out.zeros:
                 assert np.abs(dense_poly_eval(coeffs, to_dense(z))).max() \
                     < 1e-9
+
+    @staticmethod
+    def scaled_quadratic(roots, c):
+        gamma, beta, alpha = (x.scale(c) for x in
+                              ZeonPoly.from_roots(roots[0].n, roots).coeffs)
+        return (alpha, beta, gamma), quadratic_solve(alpha, beta, gamma)
+
+    @staticmethod
+    def assert_zeros_vanish(coeffs, zeros):
+        # every listed zero satisfies the quadratic under the dense oracle
+        dense = [to_dense(c) for c in coeffs[::-1]]
+        scale = max(1.0, *(c.max_abs() for c in coeffs))
+        assert zeros
+        for z in zeros:
+            assert np.abs(dense_poly_eval(dense, to_dense(z))).max() \
+                <= 1e-9 * scale
+
+    def test_discriminant_dust_certifies_nothing(self):
+        # r1 = 1.7 + (-2.3+0.7i) z1 is a zero of c (u - r1)(u - r2) with
+        # r2 = 1.7 + 0.7 z2, c = 3.1-0.4i; the computed discriminant
+        # carries dust of 1.4e-14 at grade 0 and 2.8e-14 at z1, which
+        # once certified NoZeros
+        r1 = Zeon(2, {(): 1.7, (1,): -2.3 + 0.7j})
+        r2 = Zeon(2, {(): 1.7, (2,): 0.7})
+        coeffs, out = self.scaled_quadratic([r1, r2], 3.1 - 0.4j)
+        assert out.kind is QuadraticKind.NILPOTENT_DISCRIMINANT_ROOTS
+        assert out.discriminant.min_grade() == 2
+        self.assert_zeros_vanish(coeffs, out.zeros)
+        # the public discriminant is the one reported, and has roots
+        delta = discriminant(*coeffs)
+        assert repr(delta) == repr(out.discriminant)
+        w = nilpotent_sqrt(delta)
+        assert w.mul(w).isclose(delta)
+
+    def test_small_grade_one_term_still_certifies(self):
+        # 1000 (u - 1)**2 + e z1: the discriminant is -4000 e z1, whose
+        # floor comes from its own products only: 4 eps 4 * 1000 e
+        alpha, beta = Zeon.scalar(2, 1e3), Zeon.scalar(2, -2e3)
+        for e in (1e-10, 1e-13):
+            gamma = Zeon(2, {(): 1e3, (1,): e})
+            out = quadratic_solve(alpha, beta, gamma)
+            assert out.kind is QuadraticKind.NO_ZEROS
+            assert out.discriminant.coeff([1]) == pytest.approx(-4e3 * e)
+
+    def test_nilpotent_products_that_vanish_raise_no_floor(self):
+        # z1 * z1 = 0, so the large nilpotent parts meet only the small
+        # scalar ones: the scalar term -4e-6 stands, and u = +-1e-3 i
+        # lead two distinct zeros
+        alpha = Zeon(1, {(): 1.0, (1,): 1e5})
+        gamma = Zeon(1, {(): 1e-6, (1,): 1e5})
+        out = quadratic_solve(alpha, Zeon.zero(1), gamma)
+        assert out.kind is QuadraticKind.TWO_DISTINCT
+        assert out.discriminant.scalar_part() == pytest.approx(-4e-6)
+        assert sorted(z.scalar_part().imag for z in out.zeros) \
+            == pytest.approx([-1e-3, 1e-3])
+
+    def test_floor_is_finite_wherever_the_discriminant_is(self):
+        # the discriminant -4e200 z1 is finite, and so is its floor:
+        # the grade-1 term certifies that there are no zeros
+        alpha = Zeon(1, {(): 1.0, (1,): 1e200})
+        gamma = Zeon(1, {(1,): 1e200})
+        out = quadratic_solve(alpha, Zeon.zero(1), gamma)
+        assert out.kind is QuadraticKind.NO_ZEROS
+        assert out.discriminant.coeff([1]) == -4e200
+
+    def test_double_roots_over_four_generators(self, rng):
+        # c (u - r)**2 with r full at every grade of n = 4 (a grade-g
+        # discriminant term sums 2**(g+1) products), terms and c spread
+        # over six decades
+        blades = [b for g in range(5)
+                  for b in itertools.combinations(range(1, 5), g)]
+        for _ in range(20):
+            r = Zeon(4, {b: complex(*rng.normal(size=2))
+                         * 10 ** rng.uniform(-3, 3) for b in blades})
+            c = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+            _, out = self.scaled_quadratic([r, r], c)
+            assert out.kind is QuadraticKind.NULL_SQUARE_FAMILY
+            assert (out.family_base - r).max_abs() <= 1e-12 * r.max_abs()
+
+    GRID = list(itertools.product(
+        (1.7, -0.3, 5), (1, 3.1 - 0.4j, -2 + 7j),
+        (-2.3 + 0.7j, 0.5, 1j), (0.7, -1.1j), (1, 1e-3, 1e3)))
+
+    def test_distinct_roots_sharing_a_scalar_part(self):
+        # c (u - s - d1 t z1)(u - s - d2 z2): a nilpotent discriminant
+        # with a square root, over 162 scalings
+        kinds = collections.Counter()
+        for s, c, d1, d2, t in self.GRID:
+            roots = [Zeon(2, {(): s, (1,): d1 * t}),
+                     Zeon(2, {(): s, (2,): d2})]
+            coeffs, out = self.scaled_quadratic(roots, c)
+            kinds[out.kind] += 1
+            if out.kind is QuadraticKind.NILPOTENT_DISCRIMINANT_ROOTS:
+                self.assert_zeros_vanish(coeffs, out.zeros)
+        assert kinds == {QuadraticKind.NILPOTENT_DISCRIMINANT_ROOTS: 162}
+
+    def test_double_roots(self):
+        # c (u - r)**2 with r = s + d1 z1 + d2 t z2: a zero discriminant
+        # whose computed form is all dust, over 162 scalings
+        kinds = collections.Counter()
+        for s, c, d1, d2, t in self.GRID:
+            r = Zeon(2, {(): s, (1,): d1, (2,): d2 * t})
+            _, out = self.scaled_quadratic([r, r], c)
+            kinds[out.kind] += 1
+            if out.kind is QuadraticKind.NULL_SQUARE_FAMILY:
+                assert out.discriminant.is_zero()
+                assert (out.family_base - r).max_abs() \
+                    <= 1e-12 * max(1.0, r.max_abs())
+        assert kinds == {QuadraticKind.NULL_SQUARE_FAMILY: 162}
 
     def test_nilpotent_leading_coefficient_rejected(self):
         with pytest.raises(LeadingCoefficientNotInvertible):

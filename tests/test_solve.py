@@ -411,6 +411,50 @@ class TestSpectrallySimpleZero:
             assert min((z.zero - r).max_abs()
                        for z in report.spectral_zeros) <= 1e-9
 
+    def test_scalar_residual_is_checked_once(self, monkeypatch):
+        # corrections carry no scalar part, so the residual's scalar
+        # part is the polished seed's and is checked before the loop: a
+        # four-pass lift reads no more scalar parts than a one-pass one
+        n = 4
+        other = Zeon(n, {(): -1.0, (2,): 1.0})
+        roots = [Zeon(n, {(): 2.0, (1,): 1.0}),
+                 Zeon(n, {(): 2.0, (1,): 1.0, (1, 2): 0.5, (1, 2, 3): 0.25,
+                          (1, 2, 3, 4): 2.0})]
+        phis = [ZeonPoly.from_roots(n, [r, other]) for r in roots]
+        calls = []
+        scalar_part = Zeon.scalar_part
+
+        def counted(self):
+            calls.append(self)
+            return scalar_part(self)
+
+        monkeypatch.setattr(Zeon, "scalar_part", counted)
+        counts, traces = [], []
+        for phi, r in zip(phis, roots):
+            calls.clear()
+            out = spectrally_simple_zero(phi, 2.0)
+            counts.append(len(calls))
+            traces.append(out.grade_trace)
+            assert out.zero.isclose(r)
+        assert traces == [(1,), (1, 2, 3, 4)]
+        assert counts[0] == counts[1]
+
+    def test_unpolished_seed_checked_at_the_tighter_bound(self,
+                                                          monkeypatch):
+        # with root_eps above eq_eps, a seed 1e-8 off the simple root 1
+        # passes root_eps but not eq_eps; without Newton's polish it is
+        # refused before the lift
+        import zeon.solve
+
+        monkeypatch.setattr(zeon.solve, "_newton", lambda f, fp, z: z)
+        phi = ZeonPoly.from_roots(2, [Zeon.one(2) + Z1,
+                                      Zeon.scalar(2, 2.0) + Z2])
+        with tolerance(Tolerance(root_eps=1e-6)):
+            with pytest.raises(NotSpectrallySimple):
+                spectrally_simple_zero(phi, 1.0 + 1e-8)
+            assert spectrally_simple_zero(phi, 1.0).zero.isclose(
+                Zeon.one(2) + Z1)
+
     def test_lift_adds_each_correction_once(self, rng, monkeypatch):
         # the update adds the scaled correction; a subtraction would
         # negate it a second time

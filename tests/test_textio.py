@@ -77,7 +77,8 @@ class TestComplexText:
         for x, y in ((got.real, value.real), (got.imag, value.imag)):
             assert x == y or (math.isnan(x) and math.isnan(y))
 
-    @pytest.mark.parametrize("bad", ["", "1+", "2x", "(1+2i", "i2", "--3"])
+    @pytest.mark.parametrize("bad", ["", "1+", "2x", "(1+2i", "i2", "--3",
+                                     "1)"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_complex(bad)
@@ -142,7 +143,7 @@ class TestZeonText:
 
     @pytest.mark.parametrize("bad", [
         "z{0}", "z{3}", "z{1,1}", "z{2,1,2}", "z{}", "z{1", "1 +", "q*z{1}",
-        "z{1}z{2}", "*z{1}", "-*z{1}", "1 + *z{2}",
+        "z{1}z{2}", "*z{1}", "-*z{1}", "1 + *z{2}", "  ",
     ])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
@@ -166,6 +167,11 @@ class TestPolyText:
         assert p.degree == 2
         assert p.coeff(0) == Zeon(2, {(): 3, (1, 2): -1})
         assert p.coeff(1) == Zeon.scalar(2, -10.0)
+
+    @pytest.mark.parametrize("bad", ["", " ; ", "1; z{3}"])
+    def test_rejects_garbage(self, bad):
+        with pytest.raises(ValueError):
+            parse_poly(bad, 2)
 
     def test_internal_zero_coefficients_kept(self):
         p = parse_poly("1; 0; 0; 1", 1)
@@ -228,6 +234,11 @@ class TestZeonJson:
                            {"index": [1], "re": 2, "im": 0}]},    # dup index
         {"n": 2},                                             # no terms
         [],                                                   # not an object
+        {"n": 2, "terms": {}},                                # not a list
+        {"n": 2, "terms": [1]},                               # term not object
+        {"n": 2, "terms": [{"re": 1, "im": 0}]},              # no index
+        {"n": 2, "terms": [{"index": [True], "re": 1, "im": 0}]},  # bool
+        {"n": 2, "terms": [], "extra": 1},                    # unknown key
     ])
     def test_strict_validation(self, doc):
         with pytest.raises(ValueError):
