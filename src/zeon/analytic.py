@@ -10,8 +10,9 @@ and the sum is exact because ``d**k`` vanishes beyond grade ``n``; it is
 the one finite sum behind inverses and k-th roots too (``_taylor_sum``).
 Collecting the same coefficients as a polynomial in ``(u - s)`` gives a
 degree-``n`` zeon polynomial that agrees with the extension on every
-element sharing the scalar part ``s``; that polynomial form is what
-makes preimages reachable with the spectral zero iteration.
+element sharing the scalar part ``s``.  Preimages start the spectral
+zero iteration on that form at the reverted Taylor series, and the
+iteration checks that seed and corrects any grade it misses.
 
 Functions are described by their derivative sequence rather than code
 for ``f`` alone, so the extension never needs numerical
@@ -207,6 +208,26 @@ def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
         ext.n, _shift(list(_taylor_coeffs(ext, z0)), -z0))
 
 
+def _reversion(a: list[complex]) -> list[complex]:
+    """Series reversion: ``b_1..b_n`` with ``sum_k a_k B(x)**k = x`` to
+    order ``n = len(a) - 1``, ``B = sum_m b_m x**m``; only ``a[1]`` divides.
+    ``p[k][m]``, the ``x**m`` coefficient of ``B**(k+1)``, needs ``b``
+    below ``m`` alone; the ``x**m`` coefficient of the sum fixes ``b_m``."""
+    b = [0j] * len(a)
+    b[1] = 1 / a[1]
+    p = [b] + [[0j] * len(a) for _ in a[2:]]
+    for m in range(2, len(a)):
+        tail = 0j  # sum_{k>=2} a_k [x**m] B**k
+        for k in range(1, m):
+            s = 0j
+            for i in range(1, m - k + 1):
+                s += b[i] * p[k - 1][m - i]
+            p[k][m] = s
+            tail += a[k + 1] * s
+        b[m] = -tail / a[1]
+    return b[1:]
+
+
 def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     """An element mapped onto ``w`` by the extension, near scalar ``z0``.
 
@@ -218,9 +239,10 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     ``r = root_eps * max(1, |C(w)|)`` (else :class:`SeedMismatch`) and
     a slope above ``root_eps`` (else :class:`NotSpectrallySimple`).  The
     preimage is the spectrally simple zero of the polynomial form minus
-    ``w`` seeded there.  A slope whose square is at most ``r`` puts a
-    critical value within ``r`` (``f(z) - f(c) ~ f'(z)**2 / 2f''``); the
-    lift is then ill-conditioned, and its image must match ``w`` within
+    ``w``, seeded at the reverted series in ``w``'s dual part.  A slope
+    whose square is at most ``r`` puts a critical value within ``r``
+    (``f(z) - f(c) ~ f'(z)**2 / 2f''``); the lift is then
+    ill-conditioned, and its image must match ``w`` within
     ``eq_eps * max(1, max |w|)`` (else :class:`RootFindingFailed`).
     """
     # the zero finder loads here, so extend_eval alone never imports it
@@ -248,8 +270,15 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
         raise NotSpectrallySimple(f"{z_at} is a critical point of {fn.name}")
     if ext.n == 0:  # nothing to lift, and psi would be the zero polynomial
         return Zeon.scalar(0, z_at)
-    psi = polynomial_form(ext, z_at) - ZeonPoly([w], n=ext.n)
-    zero = spectrally_simple_zero(psi, z_at).zero
+    form = polynomial_form(ext, z_at).coeffs
+    psi = ZeonPoly([form[0] - w, *form[1:]], n=ext.n)
+    psi._invertible_lead()  # the lift checks it too; refuse before the seed
+    try:
+        seed = _taylor_sum(w.dual_part(), [z_at, *_reversion(
+            list(_taylor_coeffs(ext, z_at)))])
+    except NonFiniteResult:
+        seed = z_at
+    zero = spectrally_simple_zero(psi, seed).zero
     if slope * slope <= bound:
         miss = (extend_eval(ext, zero) - w).max_abs()
         if miss > tol.eq_eps * max(1.0, w.max_abs()):

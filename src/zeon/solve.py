@@ -146,7 +146,8 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     multiplicity, but they surround the true root, and the polish step
     then restores full accuracy.  A real polynomial's real roots come
     back real: a center within rounding noise of the real axis is
-    polished again in real arithmetic.
+    polished again in real arithmetic.  Its other roots come back as
+    exact conjugate pairs, each the mean of two polished centers.
 
     Results are sorted by (real, imaginary) part.  Raises
     :class:`RootFindingFailed` with partial results when the iteration
@@ -282,6 +283,15 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
             center = _newton(partial(_horner, target),
                              partial(_horner, _der(target)), center.real)
         out.append((center, ell))
+    # pair each upper root with its nearest lower mate of equal multiplicity
+    lower = [j for j, (v, _) in enumerate(out) if real and v.imag < 0]
+    for i, (v, ell) in enumerate(out):
+        mates = [j for j in lower if v.imag > 0 and out[j][1] == ell]
+        if mates:
+            j = min(mates, key=lambda j: abs(out[j][0] - v.conjugate()))
+            lower.remove(j)
+            mean = 0.5 * (v + out[j][0].conjugate())
+            out[i], out[j] = (mean, ell), (mean.conjugate(), ell)
     return out
 
 
@@ -300,13 +310,16 @@ class SpectralZero(namedtuple(
     __slots__ = ()
 
 
-def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
+def spectrally_simple_zero(phi: ZeonPoly,
+                           lam0: complex | Zeon) -> SpectralZero:
     """Lift a simple scalar root to the unique zeon zero above it.
 
     ``phi`` needs an invertible lead, and ``lam0`` must be a simple
     root of its scalar projection ``f`` (it is polished by a few Newton
-    steps first, so a seed accurate to a few digits suffices).  Each
-    pass evaluates ``phi`` itself at the current point, takes the
+    steps first, so a seed accurate to a few digits suffices).  A zeon
+    ``lam0`` is polished so in its scalar part and starts the lift with
+    its dual part: an exact zero needs no correction.  Each pass
+    evaluates ``phi`` itself at the current point, takes the
     lowest-grade part of the residual, and divides it by the scalar
     ``f'(lam0)``; that correction cancels the lowest grade without
     disturbing lower ones, so at most ``n`` passes are needed.
@@ -314,6 +327,9 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     """
     tol = default_tolerance()
     phi._invertible_lead()
+    dual = None
+    if isinstance(lam0, Zeon):
+        lam0, dual = lam0.scalar_part(), lam0.dual_part()
     f = phi.scalar_projection()
     scale = max(map(abs, f))
     fp = _der(f)
@@ -328,6 +344,7 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
             f"seed {lam0} is a multiple root of the scalar projection"
         )
     lam = Zeon.scalar(phi.n, lam0)
+    lam = lam if dual is None else lam.add(dual)
     trace: list[int] = []
     while True:
         value = phi.eval(lam)

@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import zeon.analytic
+import zeon.poly
+import zeon.solve
 from zeon import (
     DimensionMismatch,
     NotSpectrallySimple,
@@ -24,9 +27,10 @@ from zeon import (
     preimage,
     principal_kth_root,
 )
+from zeon.analytic import _reversion
 from zeon.textio import format_poly
 
-from conftest import random_nilpotent, random_zeon, to_dense
+from conftest import from_dense, random_nilpotent, random_zeon, to_dense
 from oracle import dense_taylor
 
 Z1 = Zeon.blade(2, (1,))
@@ -63,6 +67,13 @@ def log_taylor(s, n):
 
 def exp_taylor(s, n):
     return [cmath.exp(s) / math.factorial(k) for k in range(n + 1)]
+
+
+def trig_taylor(name, s, n):
+    """Taylor coefficients of sin or cos at ``s``, k = 0..n."""
+    cycle = [cmath.sin(s), cmath.cos(s), -cmath.sin(s), -cmath.cos(s)]
+    shift = 0 if name == "sin" else 1
+    return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(n + 1)]
 
 
 def sqrt_taylor(s, n):
@@ -412,3 +423,117 @@ class TestPreimage:
     def test_mixed_n_rejected(self):
         with pytest.raises(DimensionMismatch):
             preimage(ext("exp", 2), Zeon.one(3), 0.0)
+
+
+# -- preimages seeded by series reversion ------------------------------------
+
+
+TAYLOR = {"exp": exp_taylor, "log": log_taylor, "sqrt": sqrt_taylor,
+          "sin": lambda s, n: trig_taylor("sin", s, n),
+          "cos": lambda s, n: trig_taylor("cos", s, n)}
+
+# scalar parts away from branch cuts and critical points
+DOMAINS = {
+    "exp": lambda r: complex(r.uniform(-1, 1), r.uniform(-1, 1)),
+    "sin": lambda r: complex(r.uniform(-1, 1), r.uniform(-0.5, 0.5)),
+    "cos": lambda r: complex(r.uniform(0.5, 2.5), r.uniform(-0.5, 0.5)),
+    "log": lambda r: r.uniform(0.5, 3.0) * cmath.exp(1j * r.uniform(-1, 1)),
+    "sqrt": lambda r: r.uniform(0.5, 3.0) * cmath.exp(1j * r.uniform(-1, 1)),
+}
+
+
+def preimage_corpus(rng):
+    """``(name, lam, w)`` with ``w`` the dense Taylor image of ``lam``:
+    log, sqrt, exp, cos and sin at n = 2..10, two draws each."""
+    for name in DOMAINS:
+        for n in range(2, 11):
+            for _ in range(2):
+                s = DOMAINS[name](rng)
+                lam = random_nilpotent(rng, n, scale=0.3) + s
+                w = dense_taylor(to_dense(lam.dual_part()),
+                                 TAYLOR[name](s, n))
+                yield name, lam, from_dense(n, w)
+
+
+class TestReversion:
+    @pytest.mark.parametrize("z0", [0.3, 2.0, -1.5, 0.4 - 0.7j])
+    def test_exp_reverts_to_the_log_series(self, z0):
+        # exp(z0 + v) = exp(z0) + d gives v = log(1 + d e^-z0), so
+        # b_m = (-1)**(m+1) e**(-m z0) / m
+        b = _reversion(exp_taylor(z0, 12))
+        for m in range(1, 13):
+            want = (-1) ** (m + 1) * cmath.exp(-m * z0) / m
+            assert abs(b[m - 1] - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("z0", [0.3, 3.0, 1.0 + 1.0j])
+    def test_log_reverts_to_the_exp_series(self, z0):
+        # log(z0 + v) = log(z0) + d gives v = z0 (e**d - 1), so
+        # b_m = z0 / m!; the sums forming them cancel, and the relative
+        # error grows with m (3e-7 at m = 12), so only m <= 6 is held
+        # to 1e-12 here
+        b = _reversion(log_taylor(z0, 12))
+        assert len(b) == 12
+        for m in range(1, 7):
+            want = z0 / math.factorial(m)
+            assert abs(b[m - 1] - want) <= 1e-12 * abs(want)
+
+    def test_linear_series_has_nothing_above_the_first_term(self):
+        assert _reversion([5.0, 2.0, 0.0, 0.0]) == [0.5, 0j, 0j]
+
+
+class TestPreimageSeed:
+    def test_corpus_matches_the_dense_oracle(self, rng):
+        # each result sits on the constructed lam, and its own dense
+        # Taylor image sits on w
+        for name, lam, w in preimage_corpus(rng):
+            got = preimage(ext(name, lam.n), w, lam.scalar_part())
+            scale = max(1.0, float(np.abs(to_dense(lam)).max()))
+            assert np.abs(to_dense(got) - to_dense(lam)).max() <= 1e-9 * scale
+            image = dense_taylor(to_dense(got.dual_part()),
+                                 TAYLOR[name](got.scalar_part(), lam.n))
+            assert np.abs(image - to_dense(w)).max() <= 1e-9 * max(
+                1.0, w.max_abs())
+
+    def test_one_evaluation_per_preimage(self, rng, monkeypatch):
+        # the reverted seed is the zero of the polynomial form to
+        # rounding, so the lift's first residual confirms it
+        calls = []
+        eval_ = zeon.poly.ZeonPoly.eval
+
+        def counted(self, u):
+            calls.append(u)
+            return eval_(self, u)
+
+        monkeypatch.setattr(zeon.poly.ZeonPoly, "eval", counted)
+        for name, lam, w in preimage_corpus(rng):
+            calls.clear()
+            preimage(ext(name, lam.n), w, lam.scalar_part())
+            assert len(calls) == 1, (name, lam)
+
+    def test_lift_corrects_a_seed_near_a_critical_point(self, monkeypatch):
+        # 1e-2 from cos's critical point pi, Newton on the polynomial
+        # form's scalar projection moves the scalar part 9e-14 off the
+        # seed's, and the seed's grades no longer fit it; the lift
+        # corrects grades 1, 2 and 3 in turn
+        lifts = []
+        lift = zeon.solve.spectrally_simple_zero
+
+        def recorded(phi, lam0):
+            lifts.append(lift(phi, lam0))
+            return lifts[-1]
+
+        monkeypatch.setattr(zeon.solve, "spectrally_simple_zero", recorded)
+        e = ext("cos", 3)
+        lam = Zeon(3, {(): math.pi - 1e-2, (1,): 0.5, (2,): 1.0, (3,): 1.5})
+        w = extend_eval(e, lam)
+        got = preimage(e, w, lam.scalar_part())
+        assert [out.grade_trace for out in lifts] == [(1, 2, 3)]
+        assert extend_eval(e, got).isclose(w)
+
+    def test_overflowing_seed_falls_back_to_the_scalar_point(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(zeon.analytic, "_reversion",
+                            lambda a: [math.inf] * (len(a) - 1))
+        lam, w = cosine_pair()
+        got = preimage(ZeonExtension(by_name("cos"), 4), w, math.pi / 6)
+        assert got.isclose(lam, eps=1e-9)

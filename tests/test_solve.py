@@ -100,6 +100,43 @@ class TestScalarRoots:
         for w in want:
             assert min(abs(v - w) for v in non_real) <= 1e-12
 
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_roots_of_u_to_the_degree_plus_one_are_conjugates(self, degree):
+        coeffs = [1] + [0] * (degree - 1) + [1]
+        values = [r.value for r in scalar_roots(coeffs)]
+        assert sorted(values, key=lambda v: (v.real, v.imag)) == values
+        assert {v.conjugate() for v in values} == set(values)
+        for k in range(degree):
+            want = cmath.exp(1j * math.pi * (2 * k + 1) / degree)
+            assert min(abs(v - want) for v in values) <= 1e-15
+
+    def test_real_polynomials_give_exact_conjugate_pairs(self):
+        # 500 real polynomials of degree 2-6 built from real roots and
+        # conjugate pairs: every non-real root's conjugate is a root of
+        # the same multiplicity, bit for bit, near the constructed one
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            pairs = 3 * rng.normal(size=int(rng.integers(1, 4))) * (
+                1 + 1j * rng.uniform(0.05, 1.0))
+            reals = 3 * rng.normal(size=int(rng.integers(0, 3)))
+            want = [*pairs, *pairs.conjugate(), *reals]
+            roots = scalar_roots(np.poly(want)[::-1].real)
+            found = {r.value: r.multiplicity for r in roots}
+            assert all(found.get(v.conjugate()) == ell
+                       for v, ell in found.items())
+            got = [r.value for r in roots for _ in range(r.multiplicity)]
+            for v in want:
+                assert min(abs(g - v) for g in got) <= 1e-9 * (1 + abs(v))
+
+    def test_complex_polynomials_keep_unpaired_roots(self):
+        # a root 1e-9 off the conjugate of another: with complex
+        # coefficients the two are not averaged into a pair
+        want = [1 + 1j, 1 - 1j + 1e-9]
+        values = [r.value for r in scalar_roots(np.poly(want)[::-1])]
+        assert len(values) == 2
+        for v in want:
+            assert min(abs(g - v) for g in values) <= 1e-14
+
     def test_zero_top_coefficient_lowers_degree(self):
         (r,) = scalar_roots([1, -1, 0])
         assert (r.value, r.multiplicity) == (1, 1)
@@ -454,6 +491,47 @@ class TestSpectrallySimpleZero:
                 spectrally_simple_zero(phi, 1.0 + 1e-8)
             assert spectrally_simple_zero(phi, 1.0).zero.isclose(
                 Zeon.one(2) + Z1)
+
+    def test_exact_zeon_seed_takes_no_correction(self, rng):
+        for n in (2, 4, 6):
+            roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
+                     for s in (-1.5, 0.5 - 1.0j, 2.0)]
+            phi = ZeonPoly.from_roots(n, roots)
+            for r in roots:
+                out = spectrally_simple_zero(phi, r)
+                assert out.iterations == 0 and out.grade_trace == ()
+                assert out.zero.isclose(r)
+
+    def test_seed_exact_below_grade_two_is_lifted_from_grade_two(self, rng):
+        n = 4
+        roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
+                 for s in (-1.5, 0.5 - 1.0j, 2.0)]
+        phi = ZeonPoly.from_roots(n, roots)
+        for r in roots:
+            low = r.grade_part(0) + r.grade_part(1)
+            want = spectrally_simple_zero(phi, r.scalar_part()).zero
+            for junk in (0.0, 7.0):
+                seed = low + Zeon.blade(n, (1, 2, 3)).scale(junk)
+                out = spectrally_simple_zero(phi, seed)
+                assert all(g >= 2 for g in out.grade_trace)
+                assert out.zero.isclose(want)
+            assert 3 in out.grade_trace
+
+    def test_scalar_zeon_seed_matches_the_complex_seed(self, rng):
+        for n in (1, 3, 5):
+            roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
+                     for s in (-1.0, 0.5 + 1.0j, 2.0)]
+            phi = ZeonPoly.from_roots(n, roots)
+            for r in roots:
+                s = r.scalar_part() + 1e-6
+                assert repr(spectrally_simple_zero(
+                    phi, Zeon.scalar(n, s))) == repr(
+                        spectrally_simple_zero(phi, s))
+
+    def test_zeon_seed_from_another_algebra_rejected(self):
+        phi = ZeonPoly.from_roots(2, [Zeon.scalar(2, 2.0) + Z1])
+        with pytest.raises(DimensionMismatch):
+            spectrally_simple_zero(phi, Zeon(3, {(): 2.0, (1,): 1.0}))
 
     def test_lift_adds_each_correction_once(self, rng, monkeypatch):
         # the update adds the scaled correction; a subtraction would
