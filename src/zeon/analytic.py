@@ -10,9 +10,9 @@ and the sum is exact because ``d**k`` vanishes beyond grade ``n``; it is
 the one finite sum behind inverses and k-th roots too (``_taylor_sum``).
 Collecting the same coefficients as a polynomial in ``(u - s)`` gives a
 degree-``n`` zeon polynomial that agrees with the extension on every
-element sharing the scalar part ``s``.  Preimages start the spectral
-zero iteration on that form at the reverted Taylor series, and the
-iteration checks that seed and corrects any grade it misses.
+element sharing the scalar part ``s``.  Preimages lift the reverted
+Taylor series to a zero of that form minus ``w``, dividing by ``f'`` at
+the polished scalar preimage; the lift corrects any grade it misses.
 
 Functions are described by their derivative sequence rather than code
 for ``f`` alone, so the extension never needs numerical
@@ -235,18 +235,18 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     it on ``f(z) - C(w)``, so it need only sit in the intended branch's
     basin (the library never picks a branch).  That residual raises
     :class:`OutsideDomain` at any iterate off the domain, before the
-    slope is taken there.  The polished point needs a residual within
-    ``r = root_eps * max(1, |C(w)|)`` (else :class:`SeedMismatch`) and
-    a slope above ``root_eps`` (else :class:`NotSpectrallySimple`).  The
-    preimage is the spectrally simple zero of the polynomial form minus
-    ``w``, seeded at the reverted series in ``w``'s dual part.  A slope
-    whose square is at most ``r`` puts a critical value within ``r``
-    (``f(z) - f(c) ~ f'(z)**2 / 2f''``); the lift is then
+    slope is taken there.  The polished ``z`` needs a residual within
+    ``r = root_eps * max(1, |C(w)|)`` (else :class:`SeedMismatch`) and a
+    slope ``f'(z)`` above ``root_eps`` (else :class:`NotSpectrallySimple`);
+    the reverted series in ``w``'s dual part is then lifted, dividing by
+    that ``f'(z)``, to a zero of the polynomial form minus ``w``.  A
+    slope whose square is at most ``r`` puts a critical value within
+    ``r`` (``f(z) - f(c) ~ f'(z)**2 / 2f''``); the lift is then
     ill-conditioned, and its image must match ``w`` within
     ``eq_eps * max(1, max |w|)`` (else :class:`RootFindingFailed`).
     """
     # the zero finder loads here, so extend_eval alone never imports it
-    from .solve import _newton, spectrally_simple_zero
+    from .solve import _lift, _newton
 
     tol = default_tolerance()
     if w.n != ext.n:
@@ -265,20 +265,20 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     if abs(miss) > bound:
         raise SeedMismatch(f"no scalar preimage of {target} under {fn.name} "
                            f"from seed {z0}; reached {z_at}, {abs(miss)} away")
-    slope = abs(_derivative(fn, z_at, 1))
+    # f(z_at), f'(z_at), ...: n = 0 still needs the slope
+    a = list(_taylor_coeffs(ZeonExtension(fn, max(ext.n, 1)), z_at))
+    slope = abs(a[1])
     if slope <= tol.root_eps:
         raise NotSpectrallySimple(f"{z_at} is a critical point of {fn.name}")
     if ext.n == 0:  # nothing to lift, and psi would be the zero polynomial
         return Zeon.scalar(0, z_at)
-    form = polynomial_form(ext, z_at).coeffs
-    psi = ZeonPoly([form[0] - w, *form[1:]], n=ext.n)
-    psi._invertible_lead()  # the lift checks it too; refuse before the seed
+    form = polynomial_form(ext, z_at)
+    psi = ZeonPoly([form.coeffs[0] - w, *form.coeffs[1:]], n=ext.n)
     try:
-        seed = _taylor_sum(w.dual_part(), [z_at, *_reversion(
-            list(_taylor_coeffs(ext, z_at)))])
+        seed = _taylor_sum(w.dual_part(), [z_at, *_reversion(a)])
     except NonFiniteResult:
-        seed = z_at
-    zero = spectrally_simple_zero(psi, seed).zero
+        seed = Zeon.scalar(ext.n, z_at)
+    zero = _lift(psi, seed, a[1], max(map(abs, form.scalar_projection())))[0]
     if slope * slope <= bound:
         miss = (extend_eval(ext, zero) - w).max_abs()
         if miss > tol.eq_eps * max(1.0, w.max_abs()):

@@ -310,26 +310,17 @@ class SpectralZero(namedtuple(
     __slots__ = ()
 
 
-def spectrally_simple_zero(phi: ZeonPoly,
-                           lam0: complex | Zeon) -> SpectralZero:
+def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     """Lift a simple scalar root to the unique zeon zero above it.
 
     ``phi`` needs an invertible lead, and ``lam0`` must be a simple
     root of its scalar projection ``f`` (it is polished by a few Newton
-    steps first, so a seed accurate to a few digits suffices).  A zeon
-    ``lam0`` is polished so in its scalar part and starts the lift with
-    its dual part: an exact zero needs no correction.  Each pass
-    evaluates ``phi`` itself at the current point, takes the
-    lowest-grade part of the residual, and divides it by the scalar
-    ``f'(lam0)``; that correction cancels the lowest grade without
-    disturbing lower ones, so at most ``n`` passes are needed.
-    Thresholds scale with ``max |f_k|``.
+    steps first, so a seed accurate to a few digits suffices).  The lift
+    (``_lift``) then starts at the polished scalar and divides by
+    ``f'(lam0)``.  Thresholds scale with ``max |f_k|``.
     """
     tol = default_tolerance()
     phi._invertible_lead()
-    dual = None
-    if isinstance(lam0, Zeon):
-        lam0, dual = lam0.scalar_part(), lam0.dual_part()
     f = phi.scalar_projection()
     scale = max(map(abs, f))
     fp = _der(f)
@@ -343,8 +334,23 @@ def spectrally_simple_zero(phi: ZeonPoly,
         raise NotSpectrallySimple(
             f"seed {lam0} is a multiple root of the scalar projection"
         )
-    lam = Zeon.scalar(phi.n, lam0)
-    lam = lam if dual is None else lam.add(dual)
+    zero, trace, residual = _lift(phi, Zeon.scalar(phi.n, lam0), g0, scale)
+    return SpectralZero(zero, ScalarRoot(lam0, 1, True), len(trace),
+                        residual, trace)
+
+
+def _lift(phi: ZeonPoly, lam: Zeon, g0: complex,
+          scale: float) -> tuple[Zeon, tuple[int, ...], float]:
+    """Correct ``lam`` grade by grade to a zero of ``phi``; return it,
+    the grade trace and the residual (at most ``eq_eps * scale``, else
+    :class:`RootFindingFailed`).
+
+    ``C(lam)`` must be a simple root of the scalar projection, of slope
+    ``g0``; the dual part is a guess.  Each pass divides the residual's
+    lowest grade by ``g0``, which cancels it and leaves lower grades be,
+    so an exact zero takes no pass and any seed at most ``n``.
+    """
+    tol = default_tolerance()
     trace: list[int] = []
     while True:
         value = phi.eval(lam)
@@ -368,13 +374,7 @@ def spectrally_simple_zero(phi: ZeonPoly,
             "grade-by-grade correction stalled above eq_eps",
             partial=lam,
         )
-    return SpectralZero(
-        zero=lam,
-        seed=ScalarRoot(lam0, 1, True),
-        iterations=len(trace),
-        residual=float(residual),
-        grade_trace=tuple(trace),
-    )
+    return lam, tuple(trace), float(residual)
 
 
 class ZeroSetKind(str, Enum):

@@ -11,12 +11,14 @@ import zeon.analytic
 import zeon.poly
 import zeon.solve
 from zeon import (
+    AnalyticFunction,
     DimensionMismatch,
     NotSpectrallySimple,
     OutsideDomain,
     RootFindingFailed,
     SeedMismatch,
     Zeon,
+    ZeonError,
     ZeonExtension,
     ZeonPoly,
     by_name,
@@ -353,9 +355,10 @@ class TestPreimage:
         assert got.scalar_part() == pytest.approx(cmath.log(2), abs=1e-12)
 
     def test_seed_polish_stops_at_rounding(self, monkeypatch):
-        # the lift polishes its seed on the scalar projection of log's
-        # polynomial form, where the Horner residual is rounding noise;
-        # Newton stops there instead of running all 80 rounds
+        # preimage polishes its seed once, on f itself; the spectral
+        # lift of log's polynomial form minus w polishes on that form's
+        # scalar projection, where the Horner residual is rounding
+        # noise.  Newton stops there instead of running all 80 rounds
         import zeon.solve
 
         newton = zeon.solve._newton
@@ -371,10 +374,16 @@ class TestPreimage:
         monkeypatch.setattr(zeon.solve, "_newton", counted)
         lam = Zeon(4, {(): 2.5, (1,): 0.5, (2,): 0.25})
         e = ext("log", 4)
-        back = preimage(e, e.eval(lam), 2.5)
+        w = e.eval(lam)
+        back = preimage(e, w, 2.5)
         assert back.isclose(lam, eps=1e-12)
-        # the preimage's own seed refinement, then the lift's polish
-        assert len(rounds) == 2 and max(rounds) <= 5
+        assert len(rounds) == 1 and max(rounds) <= 5
+        form = polynomial_form(e, 2.5).coeffs
+        psi = ZeonPoly([form[0] - w, *form[1:]], n=4)
+        rounds.clear()
+        assert zeon.solve.spectrally_simple_zero(psi, 2.5).zero.isclose(
+            lam, eps=1e-12)
+        assert len(rounds) == 1 and max(rounds) <= 5
 
     def test_no_scalar_preimage(self):
         # a real seed keeps Newton for sin(z) = 1.2 on the real line,
@@ -399,18 +408,33 @@ class TestPreimage:
         with pytest.raises(RootFindingFailed):
             preimage(ext("cos", 2), Zeon(2, {(): -1, (1,): 1}), 3.0)
 
-    def test_image_check_refuses_an_ill_conditioned_lift(self):
+    def test_image_check_refuses_an_ill_conditioned_lift(self,
+                                                          monkeypatch):
         # a scalar preimage 1e-6 from cos's critical point pi: the slope
         # squared is below the seed bound, so the lift's image is
-        # checked, and it misses w by 1.3e-6
+        # checked.  Unpatched, the lift returns a point 4e-4 from the
+        # constructed one whose image matches w exactly: that forward
+        # error is beyond any image check.  A lift patched to miss w
+        # by 1e-3 in grade 1 is refused
         z0 = math.pi - 1e-6
         e = ext("cos", 3)
-        w = extend_eval(e, Zeon(3, {(): z0, (1,): 0.5, (2,): 1.0,
-                                    (3,): 1.5}))
+        lam = Zeon(3, {(): z0, (1,): 0.5, (2,): 1.0, (3,): 1.5})
+        w = extend_eval(e, lam)
+        eq_eps = default_tolerance().eq_eps
+        got = preimage(e, w, z0)
+        assert (extend_eval(e, got) - w).max_abs() <= eq_eps
+        assert 1e-4 < (got - lam).max_abs() < 1e-3
+        lift = zeon.solve._lift
+
+        def perturbed(*args):
+            zero, trace, residual = lift(*args)
+            return zero + Zeon.blade(3, (1,)).scale(1e-3), trace, residual
+
+        monkeypatch.setattr(zeon.solve, "_lift", perturbed)
         with pytest.raises(RootFindingFailed, match="lift misses w") as info:
             preimage(e, w, z0)
         miss = (extend_eval(e, info.value.partial) - w).max_abs()
-        assert miss > default_tolerance().eq_eps * max(1.0, w.max_abs())
+        assert miss > eq_eps * max(1.0, w.max_abs())
 
     def test_seed_outside_domain_rejected(self):
         # a seed on the cut, and a seed whose first Newton step for
@@ -510,25 +534,15 @@ class TestPreimageSeed:
             preimage(ext(name, lam.n), w, lam.scalar_part())
             assert len(calls) == 1, (name, lam)
 
-    def test_lift_corrects_a_seed_near_a_critical_point(self, monkeypatch):
-        # 1e-2 from cos's critical point pi, Newton on the polynomial
-        # form's scalar projection moves the scalar part 9e-14 off the
-        # seed's, and the seed's grades no longer fit it; the lift
-        # corrects grades 1, 2 and 3 in turn
-        lifts = []
-        lift = zeon.solve.spectrally_simple_zero
-
-        def recorded(phi, lam0):
-            lifts.append(lift(phi, lam0))
-            return lifts[-1]
-
-        monkeypatch.setattr(zeon.solve, "spectrally_simple_zero", recorded)
-        e = ext("cos", 3)
+    def test_seed_near_a_critical_point_matches_the_oracle(self):
+        # 1e-2 from cos's critical point pi the reverted seed is 4e-12
+        # from lam; the scalar part is polished on cos alone, so the
+        # polynomial form's rounding cannot move the seed off lam
         lam = Zeon(3, {(): math.pi - 1e-2, (1,): 0.5, (2,): 1.0, (3,): 1.5})
-        w = extend_eval(e, lam)
-        got = preimage(e, w, lam.scalar_part())
-        assert [out.grade_trace for out in lifts] == [(1, 2, 3)]
-        assert extend_eval(e, got).isclose(w)
+        w = from_dense(3, dense_taylor(to_dense(lam.dual_part()),
+                                       TAYLOR["cos"](lam.scalar_part(), 3)))
+        got = preimage(ext("cos", 3), w, lam.scalar_part())
+        assert np.abs(to_dense(got) - to_dense(lam)).max() <= 1e-10
 
     def test_overflowing_seed_falls_back_to_the_scalar_point(self,
                                                              monkeypatch):
@@ -537,3 +551,84 @@ class TestPreimageSeed:
         lam, w = cosine_pair()
         got = preimage(ZeonExtension(by_name("cos"), 4), w, math.pi / 6)
         assert got.isclose(lam, eps=1e-9)
+
+    def test_slope_is_read_once_from_the_taylor_coefficients(self,
+                                                             monkeypatch):
+        # from an exact seed Newton takes no slope; f' at z is then read
+        # once for the coefficients preimage reverts and once inside
+        # polynomial_form, and the lift divides by the first of them
+        counts = {}
+
+        def derivative(z, k):
+            counts[k] = counts.get(k, 0) + 1
+            return by_name("cos").derivative(z, k)
+
+        fn = AnalyticFunction("cos", derivative, lambda z: True)
+        divisors = []
+        lift = zeon.solve._lift
+
+        def recorded(phi, lam, g0, scale):
+            divisors.append(g0)
+            return lift(phi, lam, g0, scale)
+
+        monkeypatch.setattr(zeon.solve, "_newton", lambda f, fp, z: z)
+        monkeypatch.setattr(zeon.solve, "_lift", recorded)
+        lam, w = cosine_pair()
+        got = preimage(ZeonExtension(fn, 4), w, math.pi / 6)
+        assert got.isclose(lam, eps=1e-9)
+        assert counts[1] == 2
+        assert divisors == [-math.sin(math.pi / 6)]
+
+
+# -- preimages at large scalar parts ------------------------------------------
+
+
+# the dual part of the benchmark's large-scalar preimages
+LARGE_DUAL = {(1,): 0.5, (2, 3): 0.25, (4, 5, 6): -0.125}
+# the inputs of the grid below that raise: the lift stalls above eq_eps
+# on the polynomial form's expanded coefficients
+LARGE_REFUSED = {("log", 35.0), ("log", 50.0), ("sqrt", 35.0),
+                 ("sqrt", 50.0)}
+
+
+def within(got, lam, eps):
+    """``got`` matches ``lam`` within ``eps`` relative to ``|lam|_1``."""
+    want = to_dense(lam)
+    return np.abs(to_dense(got) - want).max() <= eps * np.abs(want).sum()
+
+
+class TestPreimageAtLargeScalars:
+    @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt"])
+    @pytest.mark.parametrize("z0", [0.7, 3.0, 12.0, 20.0, 35.0, 50.0])
+    def test_grid_matches_the_dense_oracle_or_raises(self, name, z0):
+        lam = Zeon(8, {(): z0, **LARGE_DUAL})
+        w = from_dense(8, dense_taylor(to_dense(lam.dual_part()),
+                                       TAYLOR[name](z0, 8)))
+        if (name, z0) in LARGE_REFUSED:
+            with pytest.raises(ZeonError):
+                preimage(ext(name, 8), w, z0)
+        else:
+            assert within(preimage(ext(name, 8), w, z0), lam, 1e-12)
+
+    def test_random_preimages_are_right_or_refused(self, rng):
+        # complex scalar parts of modulus 0.7-35 (log and sqrt off their
+        # cut) at n = 2..9: a result is within 1e-9 of lam, or a
+        # ZeonError; refusals stay a small share
+        names = ("exp", "sin", "cos", "log", "sqrt")
+        refused = 0
+        for i in range(500):
+            name = names[i % 5]
+            n = int(rng.integers(2, 10))
+            turn = rng.uniform(-2.5, 2.5) if name in ("log", "sqrt") else (
+                rng.uniform(-math.pi, math.pi))
+            s = rng.uniform(0.7, 35.0) * cmath.exp(1j * turn)
+            lam = random_nilpotent(rng, n, scale=0.3) + s
+            w = from_dense(n, dense_taylor(to_dense(lam.dual_part()),
+                                           TAYLOR[name](s, n)))
+            try:
+                got = preimage(ext(name, n), w, s)
+            except ZeonError:
+                refused += 1
+                continue
+            assert within(got, lam, 1e-9), (name, lam)
+        assert refused <= 50

@@ -25,7 +25,7 @@ from zeon import (
     split,
     tolerance,
 )
-from zeon.solve import _shift
+from zeon.solve import _der, _horner, _lift, _shift
 
 from conftest import random_nilpotent, random_zeon, to_dense
 from oracle import dense_poly_eval, dense_scalar
@@ -357,6 +357,13 @@ class TestShift:
         assert all(type(b) is float for b in _shift([abs(a) for a in c], 1.5))
 
 
+def lift_from(phi, seed):
+    """The grade-by-grade lift of ``phi`` from the zeon ``seed``."""
+    f = phi.scalar_projection()
+    g0 = _horner(_der(f), seed.scalar_part())
+    return _lift(phi, seed, g0, max(map(abs, f)))
+
+
 class TestSpectrallySimpleZero:
     def test_linear_dual_root(self):
         phi = ZeonPoly.from_roots(2, [Zeon.scalar(2, 2.0) + Z1])
@@ -493,14 +500,15 @@ class TestSpectrallySimpleZero:
                 Zeon.one(2) + Z1)
 
     def test_exact_zeon_seed_takes_no_correction(self, rng):
+        # the lift shared with preimage starts from a zeon point
         for n in (2, 4, 6):
             roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
                      for s in (-1.5, 0.5 - 1.0j, 2.0)]
             phi = ZeonPoly.from_roots(n, roots)
             for r in roots:
-                out = spectrally_simple_zero(phi, r)
-                assert out.iterations == 0 and out.grade_trace == ()
-                assert out.zero.isclose(r)
+                zero, trace, _ = lift_from(phi, r)
+                assert trace == ()
+                assert zero.isclose(r)
 
     def test_seed_exact_below_grade_two_is_lifted_from_grade_two(self, rng):
         n = 4
@@ -512,26 +520,10 @@ class TestSpectrallySimpleZero:
             want = spectrally_simple_zero(phi, r.scalar_part()).zero
             for junk in (0.0, 7.0):
                 seed = low + Zeon.blade(n, (1, 2, 3)).scale(junk)
-                out = spectrally_simple_zero(phi, seed)
-                assert all(g >= 2 for g in out.grade_trace)
-                assert out.zero.isclose(want)
-            assert 3 in out.grade_trace
-
-    def test_scalar_zeon_seed_matches_the_complex_seed(self, rng):
-        for n in (1, 3, 5):
-            roots = [Zeon.scalar(n, s) + random_nilpotent(rng, n)
-                     for s in (-1.0, 0.5 + 1.0j, 2.0)]
-            phi = ZeonPoly.from_roots(n, roots)
-            for r in roots:
-                s = r.scalar_part() + 1e-6
-                assert repr(spectrally_simple_zero(
-                    phi, Zeon.scalar(n, s))) == repr(
-                        spectrally_simple_zero(phi, s))
-
-    def test_zeon_seed_from_another_algebra_rejected(self):
-        phi = ZeonPoly.from_roots(2, [Zeon.scalar(2, 2.0) + Z1])
-        with pytest.raises(DimensionMismatch):
-            spectrally_simple_zero(phi, Zeon(3, {(): 2.0, (1,): 1.0}))
+                zero, trace, _ = lift_from(phi, seed)
+                assert all(g >= 2 for g in trace)
+                assert zero.isclose(want)
+            assert 3 in trace
 
     def test_lift_adds_each_correction_once(self, rng, monkeypatch):
         # the update adds the scaled correction; a subtraction would
@@ -645,6 +637,31 @@ class TestSplit:
         assert abs(report.spectral_zeros[0].zero.scalar_part() - 1) < 1e-9
         (warning,) = report.warnings
         assert "stalled" in warning
+
+    def test_real_coefficients_lift_real_roots_to_real_zeros(self, rng):
+        # with real zeon coefficients, every correction of the lift above
+        # a real scalar root is real: the zero has no imaginary part
+        def real_zeon(n, scalar):
+            terms = [((), scalar)]
+            for _ in range(int(rng.integers(1, 8))):
+                size = int(rng.integers(1, n + 1))
+                terms.append((tuple(sorted(rng.choice(
+                    np.arange(1, n + 1), size=size, replace=False).tolist())),
+                    float(rng.normal())))
+            return Zeon(n, terms)
+
+        lifts = 0
+        for _ in range(200):
+            n, degree = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+            phi = ZeonPoly([real_zeon(n, float(rng.normal()))
+                            for _ in range(degree)]
+                           + [real_zeon(n, 1.0 + float(rng.uniform()))])
+            for out in split(phi).spectral_zeros:
+                if out.seed.value.imag == 0:
+                    lifts += 1
+                    assert not any(complex(c).imag
+                                   for _, c in out.zero.terms()), phi
+        assert lifts > 200
 
 
 # -- nilpotent zero classification ------------------------------------------
