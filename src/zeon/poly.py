@@ -11,7 +11,8 @@ The quadratic machinery lives here too: the discriminant, a best-effort
 layered square root of nilpotent elements (single null-square blade
 bottoms at every grade below half the minimum grade, and Gauss-Newton
 fits that each run from one start, the all-layer one warm from the first
-completed layer stack), and the quadratic solver with its five-way outcome.
+completed layer stack, both laid out by one blade-pair table), and the
+quadratic solver with its five-way outcome.
 
 numpy is imported only where a least-squares fit runs
 (:func:`least_squares`, :func:`_complete_layers`); small elements and
@@ -316,10 +317,11 @@ def discriminant(alpha: Zeon, beta: Zeon, gamma: Zeon) -> Zeon:
     order) times the same sum over coefficient magnitudes,
     ``|beta|*|beta| + 4 |alpha|*|gamma|`` at that blade.  A term at or
     below ``m eps`` times that sum may be all rounding and is dropped.
+    It counts additions, not their order, so it holds for the fused sum.
     """
     if not (alpha.n == beta.n == gamma.n):
         raise DimensionMismatch("quadratic coefficients mix algebras")
-    delta = beta.mul(beta) - alpha.mul(gamma).scale(4.0)
+    delta = beta.mul_add(beta, alpha.mul(gamma).scale(-4.0))
     # the magnitude sums, unpruned; the left factors carry eps (exactly,
     # a power of two), so the sums stay finite wherever delta does
     eps = 2.0 ** -52
@@ -355,6 +357,26 @@ def _squares_to(v: Zeon, w: Zeon, tol: Tolerance) -> bool:
     return (v.mul(v) - w).max_abs() <= tol.eq_eps * max(1.0, w.max_abs())
 
 
+def _pair_table(left: list[int], right: list[int], target: Zeon):
+    """Disjoint blade pairs of ``left`` x ``right``, found with one outer
+    AND as in the wide product kernel.  Per pair, in row-major order: its
+    index into ``left``, its index into ``right`` (its column) and its
+    row, the place of its union among all the unions and ``target``'s
+    masks, ascending.  Last, ``target`` read on those rows."""
+    import numpy as np
+
+    a, b = (np.array(x, dtype=np.uint64) for x in (left, right))
+    src, col = divmod(np.logical_not(a[:, None] & b).ravel().nonzero()[0],
+                      b.size)
+    masks, coefs = target._tuples()
+    unions = a[src] | b[col]
+    # not np.unique, which loads numpy.ma (1.6 MB resident)
+    rows = np.array(sorted({*masks, *unions.tolist()}), dtype=np.uint64)
+    values = np.zeros(rows.size, dtype=np.complex128)
+    values[rows.searchsorted(np.array(masks, dtype=np.uint64))] = coefs
+    return src, col, rows.searchsorted(unions), values
+
+
 def least_squares(w: Zeon, cands: list[int], tol: Tolerance,
                   start: Zeon | None = None) -> Zeon | None:
     """Gauss-Newton fit of ``v = sum_j x_j z{cands[j]}`` to ``v*v = w``.
@@ -362,52 +384,46 @@ def least_squares(w: Zeon, cands: list[int], tol: Tolerance,
     ``v*v`` is holomorphic in ``x``, so its Jacobian is exactly
     ``2*(multiplication by v)`` on the candidate blades: column ``b``
     holds ``2 x_a`` at row ``a|b`` for each candidate ``a`` disjoint
-    from ``b``, and ``v*v = J x / 2``.  Each step is one complex
+    from ``b`` (:func:`_pair_table` of the candidates with themselves),
+    and ``v*v = J x / 2``.  Each step is one complex
     ``np.linalg.lstsq`` (the minimum-norm step when the system is
     underdetermined), with no split into real and imaginary parts.  The
     iteration runs once, from ``start`` read on the candidates, or from
-    a constant scaled to ``w`` when there is no start.  The ``v`` it
-    reaches is returned when its exact product matches ``w``
+    a constant scaled to ``w`` when there is no start; an overflow shows
+    only as a non-finite residual or step, which refuses the fit.  The
+    ``v`` it reaches is returned when its exact product matches ``w``
     (:func:`_squares_to`); None otherwise, or when there are no
-    candidates or more than ``MAX_UNKNOWNS``.
+    candidates, more than ``MAX_UNKNOWNS``, or no disjoint pair.
     """
     k = len(cands)
     if not k or k > MAX_UNKNOWNS:
         return None
-    pairs = [(a, b) for a in range(k) for b in range(k)
-             if not cands[a] & cands[b]]
-    if not pairs:
-        return None
     import numpy as np
 
-    rows = sorted(set(w.support_masks())
-                  | {cands[a] | cands[b] for a, b in pairs})
-    row_of = {mk: i for i, mk in enumerate(rows)}
-    src = np.array([a for a, _ in pairs])
-    col = np.array([b for _, b in pairs])
-    row = np.array([row_of[cands[a] | cands[b]] for a, b in pairs])
-    target = np.array([w.coeff(mask_to_indices(mk)) for mk in rows],
-                      dtype=np.complex128)
+    src, col, row, target = _pair_table(cands, cands, w)
+    if not src.size:
+        return None
     blades = [mask_to_indices(mk) for mk in cands]
     if start is None:
         x = np.full(k, np.sqrt(max(1.0, w.max_abs()) / 2.0) * (1 + 1j))
     else:
         x = np.array([start.coeff(b) for b in blades], dtype=np.complex128)
-    jac = np.zeros((len(rows), k), dtype=np.complex128)
+    jac = np.zeros((target.size, k), dtype=np.complex128)
     norm = np.inf  # no earlier residual norm
-    for _ in range(_NEWTON_STEPS):
-        jac[row, col] = 2.0 * x[src]
-        res = 0.5 * (jac @ x) - target
-        if not np.all(np.isfinite(res)):
-            return None
-        # stop at a stall (rounding alone moves the norm), not at a rise
-        last, norm = norm, np.linalg.norm(res)
-        if abs(norm - last) <= 1e-9 * norm:
-            break
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        x = x + step
-        if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            jac[row, col] = 2.0 * x[src]
+            res = 0.5 * (jac @ x) - target
+            if not np.all(np.isfinite(res)):
+                return None
+            # stop at a stall (rounding alone moves the norm), not at a rise
+            last, norm = norm, np.linalg.norm(res)
+            if abs(norm - last) <= 1e-9 * norm:
+                break
+            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+            x = x + step
+            if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(x).max()):
+                break
     if not np.all(np.isfinite(x)):
         return None
     v = Zeon(w.n, zip(blades, x))
@@ -484,33 +500,26 @@ def _complete_layers(w: Zeon, v_g: Zeon, g: int,
 
     With the bottom frozen, the grade g+t slice only reaches grade
     2g+t of the square through 2*v_g*x, so each higher layer is a
-    linear minimum-norm solve against the residual at its grade.
-    Earlier layers feed later residuals through the running root's
-    square.
+    linear minimum-norm solve against the residual at its grade, one
+    fused ``w - v*v`` cut to that grade; the matrix holds ``2 c`` at
+    row ``a|k`` of column ``k`` for each bottom term ``c z_a`` disjoint
+    from candidate ``k`` (:func:`_pair_table`).  Earlier layers feed
+    later residuals through the running root's square.
     """
-    bottom = list(zip(*v_g._tuples()))
+    bottom_masks, bottom_coefs = v_g._tuples()
     v = v_g
     for grade in range(g + 1, min(w.n - g, len(gen_bits)) + 1):
-        residual = (w.grade_part(g + grade)
-                    - v.mul(v).grade_part(g + grade))
+        residual = v.scale(-1.0).mul_add(v, w).grade_part(g + grade)
         if residual.is_zero():
             continue
         import numpy as np
 
         cands = _blades_of_grade(gen_bits, grade)
-        rows = sorted(set(
-            residual.support_masks()
-            + [a | k for a, _ in bottom for k in cands if not a & k]
-        ))
-        A = np.zeros((len(rows), len(cands)), dtype=np.complex128)
-        row_pos = {mk: i for i, mk in enumerate(rows)}
-        for j, k in enumerate(cands):
-            for a, c in bottom:
-                if not a & k:
-                    A[row_pos[a | k], j] += 2.0 * c
-        b = np.asarray([residual.coeff(mask_to_indices(mk)) for mk in rows],
-                       dtype=np.complex128)
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
+        src, col, row, b = _pair_table(bottom_masks, cands, residual)
+        A = np.zeros((b.size, len(cands)), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A[row, col] = 2.0 * np.array(bottom_coefs)[src]
+            x, *_ = np.linalg.lstsq(A, b, rcond=None)
         v = v.add(Zeon(w.n, zip(map(mask_to_indices, cands), x)))
     return v
 

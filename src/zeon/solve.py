@@ -248,28 +248,18 @@ def _noise_radius(monic: list[complex], z: complex) -> float:
 def _cluster_and_polish(monic: list[complex], pts: list[complex],
                         radius: float, err: list[float], real: bool,
                         ) -> list[tuple[complex, int]]:
-    m = len(pts)
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(pts[i] - pts[j]) <= max(radius, 8.0 * (err[i] + err[j])):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(pts[i])
+    # each point joins, and merges, every group holding a point within
+    # the merge distance; groups by least index, indices ascending
+    groups: list[list[int]] = []
+    for i, p in enumerate(pts):
+        near = [g for g in groups if any(abs(p - pts[j]) <= max(
+            radius, 8.0 * (err[i] + err[j])) for j in g)]
+        groups = sorted([g for g in groups if g not in near]
+                        + [sorted(sum(near, [i]))])
     out = []
-    for members in groups.values():
+    for members in groups:
         ell = len(members)
-        center = sum(members) / ell
+        center = sum(pts[j] for j in members) / ell
         target = monic
         for _ in range(ell - 1):
             target = _der(target)

@@ -651,6 +651,22 @@ def test_hash_and_equality():
     assert a != z(2, ((1,), 1.0 + 1e-6))
 
 
+def test_iteration_yields_the_terms():
+    u = z(3, ((1, 2, 3), 1.0), ((), 2.0), ((2,), 3.0))
+    assert list(u) == u.terms()
+    assert list(Zeon.zero(2)) == []
+
+
+@pytest.mark.parametrize("other", ["1", object(), None])
+def test_equality_with_a_foreign_object_is_false(other):
+    # Zeon.__eq__ defers to the other operand, and Python falls back to
+    # identity: unequal, with no error
+    u = Zeon.one(2)
+    assert u.__eq__(other) is NotImplemented
+    assert (u == other) is False and (other == u) is False
+    assert u != other
+
+
 def test_repr_shows_canonical_text():
     from zeon import format_zeon, parse_zeon
 

@@ -940,6 +940,17 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "1 - z{1}\n"
 
+    def test_overflowing_square_root_fit_leaves_stderr_empty(self):
+        # the discriminant's grade-2 fit overflows; numpy's warnings must
+        # not reach stderr, which holds only the JSON diagnostic
+        proc = subprocess.run(
+            [sys.executable, "-m", "zeon.cli", "quad", "--n", "4", "1", "0",
+             "0 - 1e300*z{1,2,3,4}"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["kind"] == "NilpotentDiscriminantRoots"
+
     def test_runs_with_docstrings_stripped(self):
         # under -OO every __doc__ is None; the parser must not need them
         argv = ["-m", "zeon.cli", "inv", "--n", "1", "1 + z{1}"]

@@ -6,6 +6,7 @@ reference in ``oracle.py`` (see the derivation comments next to each).
 
 import collections
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from zeon import (
     SqrtNotFound,
     Zeon,
     ZeonPoly,
+    default_tolerance,
     discriminant,
     divide,
+    mask_to_indices,
     nilpotent_sqrt,
     quadratic_solve,
     remainder_at,
 )
+
+from zeon.poly import MAX_UNKNOWNS, _pair_table, least_squares
 
 from conftest import random_invertible, random_zeon, to_dense
 from oracle import dense_mul, dense_poly_eval, dense_zero
@@ -287,6 +292,13 @@ class TestArithmetic:
     def test_repr_mentions_text_form(self):
         p = scalar_poly(1, 1.0, 2.0)
         assert "ZeonPoly" in repr(p)
+
+    @pytest.mark.parametrize("other", ["1", object(), Zeon.one(1)])
+    def test_equality_with_a_foreign_object_is_false(self, other):
+        p = scalar_poly(1, 1.0)
+        assert p.__eq__(other) is NotImplemented
+        assert (p == other) is False and (other == p) is False
+        assert p != other
 
 
 class TestDerivativeMonic:
@@ -632,6 +644,53 @@ class TestNilpotentSqrt:
             got = dense_mul(to_dense(v), to_dense(v))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert set(missed) <= {229}
+
+    def test_overflowing_fit_warns_nothing(self):
+        # the grade-2 fit from a constant start overflows in its first
+        # product: with numpy's warnings off it reads that as a non-finite
+        # residual, refuses, and the layered search roots w
+        w = Zeon.blade(4, (1, 2, 3, 4), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = nilpotent_sqrt(w)
+        assert (v.mul(v) - w).max_abs() <= 1e-12 * w.max_abs()
+
+
+# the six grade-2 blades at n = 4
+GRADE_TWO_OF_4 = [a | b for a, b in itertools.combinations((1, 2, 4, 8), 2)]
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("w, cands", [
+        (Z12, []),
+        (Zeon.blade(9, (1, 2)), list(range(1, MAX_UNKNOWNS + 2))),
+        # z{1,2} times itself vanishes: no pair, no system
+        (Z12, [0b11]),
+        # from a constant start of order 1e154 the first product overflows
+        (Zeon.blade(4, (1, 2, 3, 4), 1e308), GRADE_TWO_OF_4),
+    ], ids=["no-candidates", "too-many", "no-disjoint-pair", "non-finite"])
+    def test_refusals_are_none_without_a_warning(self, w, cands):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert least_squares(w, cands, default_tolerance()) is None
+
+    def test_pair_table_matches_a_double_loop(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            left, right = (rng.choice(1 << n, int(rng.integers(
+                0, min(12, 1 << n) + 1)), replace=False).tolist()
+                for _ in range(2))
+            target = random_zeon(rng, n)
+            src, col, row, values = _pair_table(left, right, target)
+            pairs = [(i, j) for i, a in enumerate(left)
+                     for j, b in enumerate(right) if not a & b]
+            rows = sorted(set(target.support_masks())
+                          | {left[i] | right[j] for i, j in pairs})
+            assert list(zip(src.tolist(), col.tolist())) == pairs
+            assert [rows[r] for r in row.tolist()] == [
+                left[i] | right[j] for i, j in pairs]
+            assert values.tolist() == [
+                target.coeff(mask_to_indices(mk)) for mk in rows]
 
 
 def random_blades(rng, n, count, grades):

@@ -25,7 +25,7 @@ from zeon import (
     split,
     tolerance,
 )
-from zeon.solve import _der, _horner, _lift, _shift
+from zeon.solve import _cluster_and_polish, _der, _horner, _lift, _shift
 
 from conftest import random_nilpotent, random_zeon, to_dense
 from oracle import dense_poly_eval, dense_scalar
@@ -260,6 +260,17 @@ class TestScalarRoots:
         monkeypatch.setattr(solve_mod, "_cluster_and_polish", counted)
         scalar_roots(np.poly(roots)[::-1])
         assert len(calls) == 1
+
+    def test_a_bridging_approximation_merges_two_groups(self):
+        # 1 - d and 1 + d are 2d apart, beyond the merge distance 1.5d,
+        # until 1 joins both; the groups come out by least index
+        d = 0.01
+        monic = list(np.poly([1.0, 1.0, 1.0, 5.0])[::-1])
+        out = _cluster_and_polish(monic, [1 - d, 5.0, 1 + d, 1.0], 1.5 * d,
+                                  [0.0] * 4, True)
+        assert [ell for _, ell in out] == [3, 1]
+        assert abs(out[0][0] - 1.0) < 1e-12
+        assert abs(out[1][0] - 5.0) < 1e-12
 
 
 def constructed_spectrum(seed: int) -> list[tuple[complex, int]]:
