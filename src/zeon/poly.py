@@ -8,11 +8,12 @@ leading coefficient must be invertible; when it is, quotient and
 remainder are unique.
 
 The quadratic machinery lives here too: the discriminant, a best-effort
-layered square root of nilpotent elements (single null-square blade
-bottoms at every grade below half the minimum grade, and Gauss-Newton
-fits that each run from one start, the all-layer one warm from the first
-completed layer stack, both laid out by one blade-pair table), and the
-quadratic solver with its five-way outcome.
+layered square root of nilpotent elements, searched at unit scale
+(single null-square blade bottoms at every grade below half the minimum
+grade, and Gauss-Newton fits that each run from one start, the
+all-layer one warm from the first completed layer stack, both laid out
+by one blade-pair table), and the quadratic solver with its five-way
+outcome.
 
 numpy is imported only where a least-squares fit runs
 (:func:`least_squares`, :func:`_complete_layers`); small elements and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
@@ -436,7 +438,10 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
     A nonzero nilpotent square always has minimum grade at least 2
     (every blade of ``v*v`` is a disjoint union of two blades of ``v``),
     so an input with a grade-1 term fails immediately and that failure
-    is certified.  Everything else runs a layered search: a candidate
+    is certified.  Everything else is searched at unit scale, on ``w``
+    over a power of 4 (a term that falls below ``prune_eps`` there is
+    dropped), so that no candidate's square overflows, and the root is
+    scaled back by the power of 2.  The search is layered: a candidate
     bottom layer ``v_h`` of grade ``h``, then each higher layer from a
     linear minimum-norm system, since ``2 v_h x`` is linear in ``x``.
     With ``m = min_grade(w)``, the bottom is first fitted at grade
@@ -464,11 +469,15 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
             f"input has minimum grade {m}",
             certified=True,
         )
+    # exact scalings: the roots of w / 4**e are those of w over 2**e
+    e = math.frexp(w.max_abs())[1] // 2
+    w = w.scale(math.ldexp(1.0, -2 * e))
+    m = w.min_grade()  # a term the rescale pruned may raise it
     gen_bits = _support_generators(w)
     first = None
     for v in _layered_sqrt(w, m, gen_bits, tol):
         if _squares_to(v, w, tol):
-            return v
+            return v.scale(math.ldexp(1.0, e))
         if first is None:
             first = v
     # all layers at once, over the grades that can still reach a
@@ -484,7 +493,7 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
             "the all-layer search",
             certified=False,
         )
-    return v
+    return v.scale(math.ldexp(1.0, e))
 
 
 def _support_generators(w: Zeon) -> list[int]:

@@ -146,8 +146,9 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
     multiplicity, but they surround the true root, and the polish step
     then restores full accuracy.  A real polynomial's real roots come
     back real: a center within rounding noise of the real axis is
-    polished again in real arithmetic.  Its other roots come back as
-    exact conjugate pairs, each the mean of two polished centers.
+    polished in real arithmetic, from its real part.  Its other roots
+    come back as exact conjugate pairs, each the mean of two polished
+    centers.
 
     Results are sorted by (real, imaginary) part.  Raises
     :class:`RootFindingFailed` with partial results when the iteration
@@ -263,15 +264,12 @@ def _cluster_and_polish(monic: list[complex], pts: list[complex],
         target = monic
         for _ in range(ell - 1):
             target = _der(target)
+        # a real polynomial's root whose imaginary part is rounding
+        # noise, judged at the unpolished center, is polished as real
+        if real and abs(center.imag) <= 8.0 * _noise_radius(monic, center):
+            target, center = [a.real for a in target], center.real
         center = _newton(partial(_horner, target),
                          partial(_horner, _der(target)), center)
-        # a real polynomial's root whose imaginary part is rounding
-        # noise, judged at the center itself, is real
-        if (real and center.imag
-                and abs(center.imag) <= 8.0 * _noise_radius(monic, center)):
-            target = [a.real for a in target]
-            center = _newton(partial(_horner, target),
-                             partial(_horner, _der(target)), center.real)
         out.append((center, ell))
     # pair each upper root with its nearest lower mate of equal multiplicity
     lower = [j for j, (v, _) in enumerate(out) if real and v.imag < 0]

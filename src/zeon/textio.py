@@ -8,12 +8,14 @@ coefficient is a complex literal in one of three shapes: ``a`` (real),
 Printing is canonical: terms in ascending blade-bitmask order, real
 values rendered with Python's shortest exact representation (integers
 shortened to bare digits), so ``parse(format(u)) == u`` reproduces the
-element bit for bit.
+element bit for bit.  A coefficient's leading minus joins its term
+(``1 - 2*z{1}``); a blade drops a coefficient that reads ``1``.
 
 The JSON form is ``{"n": int, "terms": [{"index": [i, ...], "re": f,
 "im": f}, ...]}`` with the same ordering guarantee; a polynomial is
-``{"n": int, "coeffs": [terms, terms, ...]}`` ascending by degree.  The
-polynomial text form is simply coefficient texts joined by ``;``.
+``{"n": int, "coeffs": [terms, terms, ...]}`` ascending by degree, with
+no other key.  The polynomial text form is simply coefficient texts
+joined by ``;``.
 """
 
 from __future__ import annotations
@@ -121,17 +123,10 @@ def format_zeon(u: Zeon) -> str:
         return "0"
     pieces = []
     for indices, c in u.terms():
-        if not indices:
-            body, negative = _signed_body(c)
-        else:
+        body, negative = _signed_body(c)
+        if indices:
             blade = "z{" + ",".join(str(i) for i in indices) + "}"
-            if c == 1:
-                body, negative = blade, False
-            elif c == -1:
-                body, negative = blade, True
-            else:
-                body, negative = _signed_body(c)
-                body = f"{body}*{blade}"
+            body = blade if body == "1" else f"{body}*{blade}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:
@@ -140,12 +135,10 @@ def format_zeon(u: Zeon) -> str:
 
 
 def _signed_body(c: complex) -> tuple[str, bool]:
-    """Literal text for |c| plus a sign flag, for +/- joining."""
-    if c.imag == 0.0:
-        return _format_real(abs(c.real)), c.real < 0
-    if c.real == 0.0:
-        return _format_real(abs(c.imag)) + "i", c.imag < 0
-    return format_complex(c), False
+    """``format_complex(c)`` without its leading minus, and whether it
+    had one, for +/- joining."""
+    text = format_complex(c)
+    return text.removeprefix("-"), text.startswith("-")
 
 
 def parse_zeon(text: str, n: int) -> Zeon:
@@ -257,7 +250,8 @@ def _terms_from_json(
     return out
 
 
-def _check_n(obj: object, where: str) -> int:
+def _check_object(obj: object, where: str, body: str) -> int:
+    """The ``n`` of a JSON object that holds ``n`` and ``body`` only."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object")
     if "n" not in obj:
@@ -266,6 +260,11 @@ def _check_n(obj: object, where: str) -> int:
     if type(n) is not int or not 0 <= n <= MAX_GENERATORS:
         raise ValueError(
             f"{where}: 'n' must be an integer in 0..{MAX_GENERATORS}")
+    extra = set(obj) - {"n", body}
+    if extra:
+        raise ValueError(f"{where}: unknown keys {sorted(extra)}")
+    if body not in obj:
+        raise ValueError(f"{where}: missing '{body}'")
     return n
 
 
@@ -274,12 +273,7 @@ def zeon_to_dict(u: Zeon) -> dict[str, object]:
 
 
 def zeon_from_dict(obj: object) -> Zeon:
-    n = _check_n(obj, "element")
-    extra = set(obj) - {"n", "terms"}
-    if extra:
-        raise ValueError(f"element: unknown keys {sorted(extra)}")
-    if "terms" not in obj:
-        raise ValueError("element: missing 'terms'")
+    n = _check_object(obj, "element", "terms")
     return Zeon(n, _terms_from_json(obj["terms"], n, "element"))
 
 
@@ -296,12 +290,7 @@ def poly_to_dict(p: ZeonPoly) -> dict[str, object]:
 
 
 def poly_from_dict(obj: object) -> ZeonPoly:
-    n = _check_n(obj, "polynomial")
-    extra = set(obj) - {"n", "coeffs"}
-    if extra:
-        raise ValueError(f"polynomial: unknown keys {sorted(extra)}")
-    if "coeffs" not in obj:
-        raise ValueError("polynomial: missing 'coeffs'")
+    n = _check_object(obj, "polynomial", "coeffs")
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise ValueError("polynomial: 'coeffs' must be a list")

@@ -531,6 +531,27 @@ class TestFileInput:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    @pytest.mark.parametrize("command, where, body", [
+        ("inv", "element", "terms"),
+        ("solve", "polynomial", "coeffs"),
+    ])
+    @pytest.mark.parametrize("doc, message", [
+        ([5], "expected a JSON object"),
+        ({"BODY": []}, "missing 'n'"),
+        ({"n": "2", "BODY": []}, "'n' must be an integer in 0..32"),
+        ({"n": 2, "BODY": [], "x": 1}, "unknown keys ['x']"),
+        ({"n": 2}, "missing 'BODY'"),
+    ])
+    def test_document_messages(self, tmp_path, command, where, body, doc,
+                               message):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc).replace("BODY", body))
+        code, out, err = run(command, "--in", str(f))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": f"{where}: " + message.replace("BODY", body)}
+
 
 # -- tolerance precedence ------------------------------------------------------
 

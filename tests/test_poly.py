@@ -655,6 +655,43 @@ class TestNilpotentSqrt:
             v = nilpotent_sqrt(w)
         assert (v.mul(v) - w).max_abs() <= 1e-12 * w.max_abs()
 
+    @pytest.mark.parametrize("s", [1e200, 1e250, 1e300])
+    def test_large_scale_rooted_like_unit_scale(self, s):
+        # rooted at s = 1 and 1e150; unverified candidates built at the
+        # input's own scale used to overflow and abort the search here
+        w = Zeon(4, {(1, 2): -0.459 + 0.711j, (1, 3, 4): -0.109 + 0.551j,
+                     (2, 3, 4): 2.308 + 0.249j,
+                     (1, 2, 3, 4): -0.765 - 0.554j}).scale(s)
+        v = nilpotent_sqrt(w)
+        assert (v.mul(v) - w).max_abs() <= 1e-15 * w.max_abs()
+
+    def test_term_pruned_at_unit_scale_is_dropped(self):
+        # at unit scale z{1,2} falls below prune_eps, and the search runs
+        # on minimum grade 4
+        w = Zeon(4, {(1, 2): 1e-10, (1, 2, 3, 4): 1e20})
+        v = nilpotent_sqrt(w)
+        assert (v.mul(v) - w).max_abs() <= 1e-15 * w.max_abs()
+
+    @pytest.mark.parametrize("k", [-5, 10, 70, 500])
+    def test_root_of_scaled_square_is_scaled_root(self, k):
+        # the search runs at unit scale, so scaling w by 4**k scales the
+        # root by 2**k, bit for bit
+        for w in square_corpus()[:60]:
+            try:
+                v = nilpotent_sqrt(w)
+            except SqrtNotFound:
+                continue
+            assert nilpotent_sqrt(w.scale(4.0 ** k)) == v.scale(2.0 ** k)
+
+    def test_squares_scaled_to_1e300_never_overflow(self):
+        missed = []
+        for i, w in enumerate(square_corpus()):
+            try:
+                nilpotent_sqrt(w.scale(1e300 / w.max_abs()))
+            except SqrtNotFound:
+                missed.append(i)
+        assert set(missed) <= {229}
+
 
 # the six grade-2 blades at n = 4
 GRADE_TWO_OF_4 = [a | b for a, b in itertools.combinations((1, 2, 4, 8), 2)]

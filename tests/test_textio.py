@@ -99,6 +99,14 @@ class TestZeonText:
         (Zeon(2, {(1,): 1j}), "1i*z{1}"),
         (Zeon(2, {(): 1 + 2j, (1,): -1, (1, 2): 0.5}),
          "(1+2i) - z{1} + 0.5*z{1,2}"),
+        # a leading minus of the coefficient's literal joins the term
+        (Zeon(2, {(1,): -2}), "-2*z{1}"),
+        (Zeon.scalar(2, -3j), "-3i"),
+        (Zeon(2, {(): 1, (2,): -1j}), "1 - 1i*z{2}"),
+        (Zeon(2, {(1,): -1 + 2j}), "(-1+2i)*z{1}"),
+        (Zeon.scalar(2, -1), "-1"),
+        (Zeon(2, {(1,): 1e16}), "1e+16*z{1}"),
+        (Zeon(2, {(1,): -1, (2,): 2.5j}), "-z{1} + 2.5i*z{2}"),
     ])
     def test_format(self, u, text):
         assert format_zeon(u) == text
@@ -185,6 +193,30 @@ class TestPolyText:
 
 
 # -- JSON ---------------------------------------------------------------------
+
+
+# a document with its messages, the same for both readers: BODY stands
+# for the body key, 'terms' or 'coeffs'; checks run in this order
+DOCUMENT_MESSAGES = [
+    ('[]', "expected a JSON object"),
+    ('{"BODY": []}', "missing 'n'"),
+    ('{"n": 2.0, "BODY": []}', "'n' must be an integer in 0..32"),
+    ('{"n": 33, "x": 1}', "'n' must be an integer in 0..32"),
+    ('{"n": 2, "BODY": [], "b": 1, "a": 1}', "unknown keys ['a', 'b']"),
+    ('{"n": 2, "x": 1}', "unknown keys ['x']"),
+    ('{"n": 2}', "missing 'BODY'"),
+]
+
+
+@pytest.mark.parametrize("read, where, body", [
+    (zeon_from_dict, "element", "terms"),
+    (poly_from_dict, "polynomial", "coeffs"),
+])
+@pytest.mark.parametrize("doc, message", DOCUMENT_MESSAGES)
+def test_document_messages(read, where, body, doc, message):
+    with pytest.raises(ValueError) as exc:
+        read(json.loads(doc.replace("BODY", body)))
+    assert str(exc.value) == f"{where}: " + message.replace("BODY", body)
 
 
 class TestZeonJson:
@@ -285,6 +317,14 @@ class TestPolyJson:
     def test_strict_validation(self, doc):
         with pytest.raises(ValueError):
             poly_from_dict(doc)
+
+    def test_body_keys_are_not_interchangeable(self):
+        with pytest.raises(ValueError,
+                           match=r"^element: unknown keys \['coeffs'\]$"):
+            zeon_from_dict({"n": 1, "coeffs": []})
+        with pytest.raises(ValueError,
+                           match=r"^polynomial: unknown keys \['terms'\]$"):
+            poly_from_dict({"n": 1, "terms": []})
 
     def test_text_and_json_agree(self, rng):
         p = ZeonPoly([random_zeon(rng, 3) for _ in range(3)], n=3)
