@@ -174,6 +174,14 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _same_algebra(a, b) -> None:
+    """The one same-algebra test: elements, polynomials and extensions
+    meet only when their generator counts ``n`` agree."""
+    if a.n != b.n:
+        raise DimensionMismatch(
+            f"operands live in different algebras: n={a.n} vs n={b.n}")
+
+
 def _invertible(c: complex) -> bool:
     """The one invertibility test of a scalar part: ``|c| > eq_eps``."""
     return abs(c) > _context.get().eq_eps
@@ -311,14 +319,8 @@ class Zeon:
 
     # -- ring operations -------------------------------------------------
 
-    def _check_same_algebra(self, other: "Zeon") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"operands live in different algebras: n={self.n} vs n={other.n}"
-            )
-
     def add(self, other: "Zeon") -> "Zeon":
-        self._check_same_algebra(other)
+        _same_algebra(self, other)
         return _sum(self.n, (self, other))
 
     def scale(self, c: complex) -> "Zeon":
@@ -338,10 +340,10 @@ class Zeon:
     def mul_add(self, other: "Zeon", addend: "Zeon | None") -> "Zeon":
         """``addend + self * other`` in one kernel call, each output
         coefficient pruned once after the sum; ``None`` adds nothing."""
-        self._check_same_algebra(other)
+        _same_algebra(self, other)
         terms = ()  # the addend's (masks, coefficients), if any
         if addend is not None:
-            self._check_same_algebra(addend)
+            _same_algebra(self, addend)
             terms = (addend._idx, addend._coef)
         prune = _context.get().prune_eps
         a, b = self._idx, other._idx

@@ -28,9 +28,8 @@ import re
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .algebra import Zeon, _taylor_sum, default_tolerance
+from .algebra import Zeon, _same_algebra, _taylor_sum, default_tolerance
 from .errors import (
-    DimensionMismatch,
     NonFiniteResult,
     NotSpectrallySimple,
     OutsideDomain,
@@ -38,6 +37,7 @@ from .errors import (
     SeedMismatch,
 )
 from .poly import ZeonPoly
+from .textio import format_complex
 
 __all__ = [
     "AnalyticFunction",
@@ -60,7 +60,8 @@ class AnalyticFunction(namedtuple(
     """An analytic function given by its derivative sequence.
 
     ``derivative(z, k)`` returns the k-th derivative at ``z`` (k = 0 is
-    the function itself); ``in_domain(z)`` guards scalar arguments.
+    the function itself); ``in_domain(z)`` guards scalar arguments, and
+    is tested with k = 0, which every path asks for first at a point.
     """
 
     __slots__ = ()
@@ -103,10 +104,14 @@ def power_function(p: complex) -> AnalyticFunction:
     """``z**p`` with the principal branch.
 
     A nonnegative integer ``p`` is entire (zero included); any other
-    exponent keeps the branch cut exclusion.
+    exponent keeps the branch cut exclusion.  A non-finite ``p`` raises
+    ``ValueError``.  The name, ``pow(<p>)``, reads back through
+    :func:`by_name`.
     """
     p = complex(p)
-    integral = p.imag == 0.0 and p.real == int(p.real) and p.real >= 0
+    if not cmath.isfinite(p):
+        raise ValueError(f"exponent {p} is not finite")
+    integral = p.imag == 0.0 and p.real.is_integer() and p.real >= 0
 
     def derivative(z: complex, k: int) -> complex:
         falling = 1.0 + 0j
@@ -121,18 +126,11 @@ def power_function(p: complex) -> AnalyticFunction:
         return falling * cmath.exp(e * cmath.log(z))
 
     in_domain = (lambda z: True) if integral else _off_cut
-    label = f"pow({_format_exponent(p)})"
+    label = f"pow({format_complex(p).strip('()')})"
     return AnalyticFunction(label, derivative, in_domain)
 
 
-def _format_exponent(p: complex) -> str:
-    if p.imag == 0.0:
-        r = p.real
-        return str(int(r)) if r == int(r) else repr(r)
-    return f"{p.real}+{p.imag}j"
-
-
-SQRT = AnalyticFunction("sqrt", power_function(0.5).derivative, _off_cut)
+SQRT = power_function(0.5)._replace(name="sqrt")
 
 _NAMED = {"exp": EXP, "log": LOG, "sin": SIN, "cos": COS, "sqrt": SQRT}
 _POW_RE = re.compile(r"^pow\((?P<arg>[^)]+)\)$")
@@ -164,19 +162,14 @@ class ZeonExtension(namedtuple("ZeonExtension", "fn n")):
 def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
     """Evaluate the extension at ``u`` by the finite Taylor sum in its
     dual part (see the module docstring)."""
-    if u.n != ext.n:
-        raise DimensionMismatch(
-            f"element has n={u.n}, extension has n={ext.n}"
-        )
-    s = u.scalar_part()
-    if not ext.fn.in_domain(s):
-        raise OutsideDomain(
-            f"{ext.fn.name} is undefined at scalar part {s}"
-        )
-    return _taylor_sum(u.dual_part(), _taylor_coeffs(ext, s))
+    _same_algebra(ext, u)
+    return _taylor_sum(u.dual_part(), _taylor_coeffs(ext, u.scalar_part()))
 
 
 def _derivative(fn: AnalyticFunction, z: complex, k: int) -> complex:
+    """``fn``'s ``k``-th derivative at ``z``; ``k = 0`` checks the domain."""
+    if k == 0 and not fn.in_domain(z):
+        raise OutsideDomain(f"{fn.name} is undefined at {z}")
     try:
         return fn.derivative(z, k)
     except OverflowError:
@@ -202,8 +195,6 @@ def polynomial_form(ext: ZeonExtension, z0: complex) -> ZeonPoly:
     from .solve import _shift
 
     z0 = complex(z0)
-    if not ext.fn.in_domain(z0):
-        raise OutsideDomain(f"{ext.fn.name} is undefined at {z0}")
     return ZeonPoly.from_scalars(
         ext.n, _shift(list(_taylor_coeffs(ext, z0)), -z0))
 
@@ -249,15 +240,12 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     from .solve import _lift, _newton
 
     tol = default_tolerance()
-    if w.n != ext.n:
-        raise DimensionMismatch(f"element has n={w.n}, extension has n={ext.n}")
+    _same_algebra(ext, w)
     fn = ext.fn
     target = w.scalar_part()
     bound = tol.root_eps * max(1.0, abs(target))
 
     def residual(z: complex) -> complex:
-        if not fn.in_domain(z):
-            raise OutsideDomain(f"{fn.name} is undefined at {z}")
         return _derivative(fn, z, 0) - target
 
     z_at = _newton(residual, lambda z: _derivative(fn, z, 1), complex(z0))

@@ -41,7 +41,6 @@ import json
 import shlex
 import sys
 from collections.abc import Callable
-from enum import Enum
 from io import TextIOBase
 from pathlib import Path
 
@@ -197,8 +196,6 @@ def _encode(obj: object, as_json: bool) -> object:
         return zeon_to_dict(obj) if as_json else format_zeon(obj)
     if isinstance(obj, ZeonPoly):
         return poly_to_dict(obj) if as_json else format_poly(obj)
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
@@ -349,7 +346,8 @@ def _dispatch(argv: list[str], out: TextIOBase, err: TextIOBase,
         return _fail(err, "UsageError", str(exc))
     except ZeonError as exc:
         return _fail(err, type(exc).__name__, str(exc), 2)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
+        # RecursionError: json.loads on a document nested too deeply
         return _fail(err, "ParseError", str(exc))
 
 

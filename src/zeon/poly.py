@@ -37,6 +37,7 @@ from .algebra import (
     _coerce,
     _invertible,
     _raw,
+    _same_algebra,
     default_tolerance,
     mask_to_indices,
     principal_kth_root,
@@ -166,10 +167,7 @@ class ZeonPoly:
     def eval(self, u: ZeonLike) -> Zeon:
         """Horner evaluation at a zeon (or scalar) point."""
         point = _coerce(u, self.n)
-        if point.n != self.n:
-            raise DimensionMismatch(
-                f"point has n={point.n}, polynomial has n={self.n}"
-            )
+        _same_algebra(self, point)
         acc = self.coeffs[-1] if self.coeffs else Zeon.zero(self.n)
         for c in self.coeffs[-2::-1]:
             acc = acc.mul_add(point, c)
@@ -206,17 +204,10 @@ class ZeonPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "ZeonPoly") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"polynomials live in different algebras: "
-                f"n={self.n} vs n={other.n}"
-            )
-
     def __add__(self, other: "ZeonPoly") -> "ZeonPoly":
         if not isinstance(other, ZeonPoly):
             return NotImplemented
-        self._check(other)
+        _same_algebra(self, other)
         a, b = self.coeffs, other.coeffs
         # shared degrees add; the longer operand's tail is kept as it is
         return ZeonPoly([*map(Zeon.add, a, b), *a[len(b):], *b[len(a):]],
@@ -232,7 +223,7 @@ class ZeonPoly:
 
     def __mul__(self, other) -> "ZeonPoly":
         if isinstance(other, ZeonPoly):
-            self._check(other)
+            _same_algebra(self, other)
             if self.is_zero() or other.is_zero():
                 return ZeonPoly.zero(self.n)
             out = [Zeon.zero(self.n)] * (self.degree + other.degree + 1)
@@ -281,7 +272,7 @@ def divide(phi: ZeonPoly, psi: ZeonPoly) -> DivisionResult:
     a quotient coefficient, and adds that factor times the divisor's
     lower coefficients, negated once up front, into the slots below.
     """
-    phi._check(psi)
+    _same_algebra(phi, psi)
     lead_inv = psi._invertible_lead(DivisorNotMonicizable).inverse()
     low = [c.scale(-1.0) for c in psi.coeffs[:-1]]
     rem = list(phi.coeffs)
@@ -321,8 +312,8 @@ def discriminant(alpha: Zeon, beta: Zeon, gamma: Zeon) -> Zeon:
     below ``m eps`` times that sum may be all rounding and is dropped.
     It counts additions, not their order, so it holds for the fused sum.
     """
-    if not (alpha.n == beta.n == gamma.n):
-        raise DimensionMismatch("quadratic coefficients mix algebras")
+    _same_algebra(alpha, beta)
+    _same_algebra(beta, gamma)
     delta = beta.mul_add(beta, alpha.mul(gamma).scale(-4.0))
     # the magnitude sums, unpruned; the left factors carry eps (exactly,
     # a power of two), so the sums stay finite wherever delta does
@@ -682,8 +673,8 @@ def quadratic_solve(alpha: Zeon, beta: Zeon, gamma: Zeon) -> QuadraticOutcome:
     its rounding dust (see :func:`discriminant`), so NoZeros is
     certified only by a grade-1 term above the rounding floor.
     """
-    if not (alpha.n == beta.n == gamma.n):
-        raise DimensionMismatch("quadratic coefficients mix algebras")
+    _same_algebra(alpha, beta)
+    _same_algebra(beta, gamma)
     n = alpha.n
     if not _invertible(alpha.scalar_part()):
         raise LeadingCoefficientNotInvertible(

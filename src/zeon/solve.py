@@ -26,9 +26,8 @@ from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import partial
 
-from .algebra import Tolerance, Zeon, _raw, default_tolerance
+from .algebra import Tolerance, Zeon, _raw, _same_algebra, default_tolerance
 from .errors import (
-    DimensionMismatch,
     FamilyPreconditionError,
     NotSpectrallySimple,
     RootFindingFailed,
@@ -416,7 +415,8 @@ def split(phi: ZeonPoly) -> SolveReport:
     """Factor the zero hunt through the scalar spectrum.
 
     The leading coefficient must be invertible.  The spectrum is
-    :func:`scalar_roots` of the scalar projection, so the tolerance's ``cluster_eps`` decides which roots are multiple.
+    :func:`scalar_roots` of the scalar projection, so the tolerance's
+    ``cluster_eps`` decides which roots are multiple.
     Every simple scalar root is lifted to its spectral zero.  A multiple
     scalar root of an all-scalar polynomial contributes the full
     multiplicity family (scalar root plus any nilpotent of that
@@ -556,8 +556,8 @@ def multiple_zero_family(phi: ZeonPoly, w1: Zeon,
     sample members before being returned.
     """
     eps = default_tolerance().eq_eps
-    if phi.n != w1.n or phi.n != w2.n:
-        raise DimensionMismatch("polynomial and zeros mix algebras")
+    _same_algebra(phi, w1)
+    _same_algebra(phi, w2)
     n = phi.n
     scale = max(1.0, max(c.max_abs() for c in phi.coeffs)) if phi.coeffs else 1.0
     for w in (w1, w2):

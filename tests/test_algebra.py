@@ -175,10 +175,12 @@ def test_mul_annihilation_and_frozen_squares():
 def test_mixed_dimension_operands_are_rejected():
     from zeon import DimensionMismatch
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=1 vs n=2$"):
         Zeon.one(1) + Zeon.one(2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=1 vs n=2$"):
         Zeon.one(1) * Zeon.one(2)
+    with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=1 vs n=2$"):
+        Zeon.one(1).mul_add(Zeon.one(1), Zeon.one(2))
 
 
 # -- grading -------------------------------------------------------------------

@@ -119,6 +119,23 @@ class TestByName:
     def test_whitespace_tolerated(self):
         assert by_name(" exp ").name == "exp"
 
+    @pytest.mark.parametrize("p, name", [
+        (0.5, "pow(0.5)"), (2, "pow(2)"), (-3, "pow(-3)"),
+        (1 - 2j, "pow(1-2i)"), (-0.5j, "pow(-0.5i)"),
+        (1e308, "pow(1e+308)"), (1e-20, "pow(1e-20)"),
+    ])
+    def test_pow_name_reads_back(self, p, name):
+        # the first derivative at 1 is the exponent itself
+        assert power_function(p).name == name
+        assert by_name(name).name == name
+        assert by_name(name).derivative(1.0, 1) == complex(p)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan,
+                                   complex(0.5, math.inf)])
+    def test_pow_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="not finite"):
+            power_function(p)
+
 
 # -- extension evaluation -----------------------------------------------------
 
@@ -232,7 +249,8 @@ class TestExtendEval:
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_log_on_cut_rejected(self):
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(OutsideDomain,
+                           match=r"^log is undefined at \(-1\+0j\)$"):
             ext("log", 2).eval(Zeon.scalar(2, -1.0) + Z1)
 
     def test_sqrt_at_zero_rejected(self):
@@ -240,7 +258,7 @@ class TestExtendEval:
             ext("sqrt", 2).eval(Z1)
 
     def test_mixed_n_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=2 vs n=3$"):
             ext("exp", 2).eval(Zeon.one(3))
 
 
@@ -445,7 +463,7 @@ class TestPreimage:
                 preimage(ext("log", 2), w, seed)
 
     def test_mixed_n_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=2 vs n=3$"):
             preimage(ext("exp", 2), Zeon.one(3), 0.0)
 
 

@@ -826,6 +826,22 @@ class TestErrors:
         assert code == 1
         assert error_name(err) == "ParseError"
 
+    @pytest.mark.parametrize("fn", ["pow(1e400)", "pow(nan)"])
+    def test_non_finite_exponent_is_a_parse_error(self, fn):
+        code, out, err = run("extend", "--fn", fn, "--n", "1", "2 + z{1}")
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert error_name(line) == "ParseError"
+        assert "not finite" in json.loads(line)["message"]
+
+    def test_too_deeply_nested_json_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000)
+        code, out, err = run("inv", "--in", str(f))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert error_name(line) == "ParseError"
+
     @pytest.mark.parametrize("argv, code, name", [
         (["inv", "--k"], 1, "UsageError"),
         (["inv", "1"], 1, "UsageError"),
@@ -916,6 +932,16 @@ class TestBatch:
         f.write_bytes(b'inv --n 1 "1"\n\xff\n')
         code, out, err = run("--batch", str(f))
         assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert error_name(line) == "ParseError"
+
+    def test_too_deeply_nested_json_leaves_the_next_line(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        f = tmp_path / "cmds.txt"
+        f.write_text(f'inv --in {deep}\ninv --n 1 "1 + z{{1}}"\n')
+        code, out, err = run("--batch", str(f))
+        assert (code, out) == (1, "1 - z{1}\n")
         (line,) = err.splitlines()
         assert error_name(line) == "ParseError"
 

@@ -11,6 +11,7 @@ from zeon import (
     FamilyPreconditionError,
     LeadingCoefficientNotInvertible,
     NotSpectrallySimple,
+    RootFindingFailed,
     ScalarRoot,
     Tolerance,
     Zeon,
@@ -62,6 +63,30 @@ def spectrum_dict(roots):
 
 
 class TestScalarRoots:
+    def test_unsettled_root_raises_with_every_root(self, monkeypatch):
+        # no plain input leaves a polished center off its root, so the
+        # smallest center is moved off after polishing
+        import zeon.solve
+
+        polish = zeon.solve._cluster_and_polish
+
+        def moved(*args):
+            merged = polish(*args)
+            i = min(range(len(merged)), key=lambda j: merged[j][0].real)
+            v, ell = merged[i]
+            merged[i] = (v * (1 + 1e-3), ell)
+            return merged
+
+        coeffs = [-6.0, 11.0, -6.0, 1.0]  # (u - 1)(u - 2)(u - 3)
+        want = scalar_roots(coeffs)
+        monkeypatch.setattr(zeon.solve, "_cluster_and_polish", moved)
+        with pytest.raises(RootFindingFailed, match="no settled root") as info:
+            scalar_roots(coeffs)
+        partial = info.value.partial
+        assert len(partial) == 3
+        assert partial[0].value == pytest.approx(want[0].value * (1 + 1e-3))
+        assert partial[1:] == want[1:]
+
     def test_linear(self):
         (r,) = scalar_roots([3.0, -1.0])
         assert r.value == pytest.approx(3.0)
@@ -837,6 +862,15 @@ class TestMultipleZeroFamily:
         with pytest.raises(FamilyPreconditionError):
             multiple_zero_family(phi, Zeon.one(2), Zeon.scalar(2, 2.0))
 
+    def test_rejects_a_family_failing_on_a_sample_member(self):
+        # phi = 0.01 (u - 2) at n = 1: w2 = 2 + 1e-8 z{1} evaluates to
+        # 1e-10 z{1}, within eq_eps, and lies more than eq_eps from w1,
+        # so both pass as zeros; but w1 + z{1} evaluates to 0.01 z{1}
+        phi = ZeonPoly.from_scalars(1, [-0.02, 0.01])
+        w1, w2 = Zeon.scalar(1, 2.0), Zeon(1, {(): 2.0, (1,): 1e-8})
+        with pytest.raises(FamilyPreconditionError, match="sample member"):
+            multiple_zero_family(phi, w1, w2)
+
     def test_rejects_simple_zero_passed_twice(self):
         # the second case shares its scalar root, but (u - w)**2 does
         # not divide it: phi'(w) = z{1} - z{2}
@@ -850,5 +884,7 @@ class TestMultipleZeroFamily:
 
     def test_rejects_mixed_n(self):
         phi = ZeonPoly.from_roots(2, [Zeon.one(2), Zeon.one(2)])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=2 vs n=1$"):
             multiple_zero_family(phi, Zeon.one(1), Zeon.one(1))
+        with pytest.raises(DimensionMismatch, match=r"^operands live in different algebras: n=2 vs n=1$"):
+            multiple_zero_family(phi, Zeon.one(2), Zeon.one(1))
