@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import contextvars
+import functools
 import itertools
 import math
 import operator
@@ -518,16 +519,25 @@ def generators(n: int) -> tuple[Zeon, ...]:
 def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
     """``sum_k a_k x**k`` for a nilpotent ``x``, ``a_k`` read from ``coeffs``.
 
-    Stops when a power of ``x`` vanishes, after ``x**n``, or when
-    ``coeffs`` runs out.  The power ``x**k`` is held times the largest
-    coefficient from ``a_k`` on and takes its product with ``x`` before
-    it shrinks to the next one, unless that product overflows.  So no
-    power is pruned below the size of a term still to come, a dip in the
-    coefficients (``cos`` at pi) erases nothing after it, and falling
-    coefficients (a root at a large scalar) shrink the power with them.
-    The scalar term and then the scaled powers are summed once by ``_sum``.
+    It reads ``a_k`` only while ``k`` times ``x``'s lowest grade fits in
+    its support, so the ambient ``n`` changes nothing, and stops when a
+    power vanishes or ``coeffs`` runs out.  The power ``x**k`` is held
+    times the largest coefficient from ``a_k`` on and takes its product
+    with ``x`` before it shrinks to the next one, unless that product
+    overflows.  So no power is pruned below the size of a term still to
+    come, a dip in the coefficients (``cos`` at pi) erases nothing after
+    it, and falling coefficients (a root at a large scalar) shrink the
+    power with them.  The scalar term and then the scaled powers are
+    summed once by ``_sum``.
     """
-    a = list(itertools.islice(coeffs, x.n + 1))
+    if type(x._idx) is tuple:
+        bits = functools.reduce(operator.or_, x._idx, 0)
+        low = min(map(int.bit_count, x._idx), default=1)
+    else:
+        import numpy as np
+        bits = int(np.bitwise_or.reduce(x._idx))
+        low = int(np.bitwise_count(x._idx).min())
+    a = list(itertools.islice(coeffs, bits.bit_count() // low + 1))
     # big[k]: the coefficient of largest magnitude among a[k:]
     big = list(itertools.accumulate(
         reversed(a), lambda b, c: c if abs(c) > abs(b) else b))[::-1]

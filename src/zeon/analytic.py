@@ -169,13 +169,13 @@ def extend_eval(ext: ZeonExtension, u: Zeon) -> Zeon:
 def _derivative(fn: AnalyticFunction, z: complex, k: int) -> complex:
     """``fn``'s ``k``-th derivative at ``z``; ``k = 0`` checks the domain."""
     if k == 0 and not fn.in_domain(z):
-        raise OutsideDomain(f"{fn.name} is undefined at {z}")
+        raise OutsideDomain(f"{fn.name} is undefined at {format_complex(z)}")
     try:
         return fn.derivative(z, k)
     except OverflowError:
         # cmath's report of a derivative beyond the float range
         raise NonFiniteResult(
-            f"derivative {k} of {fn.name} overflows at {z}"
+            f"derivative {k} of {fn.name} overflows at {format_complex(z)}"
         ) from None
 
 
@@ -251,13 +251,15 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     z_at = _newton(residual, lambda z: _derivative(fn, z, 1), complex(z0))
     miss = residual(z_at)
     if abs(miss) > bound:
+        target, z0, z_at = map(format_complex, (target, z0, z_at))
         raise SeedMismatch(f"no scalar preimage of {target} under {fn.name} "
                            f"from seed {z0}; reached {z_at}, {abs(miss)} away")
     # f(z_at), f'(z_at), ...: n = 0 still needs the slope
     a = list(_taylor_coeffs(ZeonExtension(fn, max(ext.n, 1)), z_at))
     slope = abs(a[1])
     if slope <= tol.root_eps:
-        raise NotSpectrallySimple(f"{z_at} is a critical point of {fn.name}")
+        raise NotSpectrallySimple(
+            f"{format_complex(z_at)} is a critical point of {fn.name}")
     if ext.n == 0:  # nothing to lift, and psi would be the zero polynomial
         return Zeon.scalar(0, z_at)
     form = polynomial_form(ext, z_at)

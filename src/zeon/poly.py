@@ -8,12 +8,13 @@ leading coefficient must be invertible; when it is, quotient and
 remainder are unique.
 
 The quadratic machinery lives here too: the discriminant, a best-effort
-layered square root of nilpotent elements, searched at unit scale
-(single null-square blade bottoms at every grade below half the minimum
-grade, and Gauss-Newton fits that each run from one start, the
-all-layer one warm from the first completed layer stack, both laid out
-by one blade-pair table), and the quadratic solver with its five-way
-outcome.
+layered square root of nilpotent elements, searched at unit scale, and
+the quadratic solver with its five-way outcome.  A root's bottom layer
+comes from a Gauss-Newton fit at half an even minimum grade of 4 or
+more, then in closed form at half every even minimum grade, then as a
+single null-square blade at each grade below half the minimum grade.
+The fits run from one start each, the all-layer one warm from the
+first completed layer stack, both laid out by one blade-pair table.
 
 numpy is imported only where a least-squares fit runs
 (:func:`least_squares`, :func:`_complete_layers`); small elements and
@@ -436,8 +437,8 @@ def nilpotent_sqrt(w: Zeon) -> Zeon:
     bottom layer ``v_h`` of grade ``h``, then each higher layer from a
     linear minimum-norm system, since ``2 v_h x`` is linear in ``x``.
     With ``m = min_grade(w)``, the bottom is first fitted at grade
-    ``m/2`` by :func:`least_squares` for even ``m >= 4``, or read in
-    closed form at grade 1 for ``m = 2`` (:func:`_grade_one_bottoms`);
+    ``m/2`` by :func:`least_squares` for even ``m >= 4``, then read in
+    closed form at grade ``m/2`` for every even ``m`` (:func:`_bottoms`);
     then, for every ``m``, it is a single null-square blade of each
     grade ``h`` from ``(m-1)//2`` down to 1 (:func:`_blade_bottoms`).
     The first completed stack that verifies is returned.  Otherwise the
@@ -528,14 +529,14 @@ def _layered_sqrt(w: Zeon, m: int, gen_bits: list[int],
                   tol: Tolerance) -> Iterator[Zeon]:
     """Completed layer stacks for ``v*v = w``, unverified, in the order
     of :func:`nilpotent_sqrt`."""
-    if m == 2:
-        for v_1 in _grade_one_bottoms(w, gen_bits, tol):
-            yield _complete_layers(w, v_1, 1, gen_bits)
-    elif m % 2 == 0:
-        v_g = least_squares(w.grade_part(m),
-                            _blades_of_grade(gen_bits, m // 2), tol)
-        if v_g is not None:
-            yield _complete_layers(w, v_g, m // 2, gen_bits)
+    if m % 2 == 0:
+        h = m // 2
+        v_h = None if m == 2 else least_squares(
+            w.grade_part(m), _blades_of_grade(gen_bits, h), tol)
+        if v_h is not None:
+            yield _complete_layers(w, v_h, h, gen_bits)
+        for v_h in _bottoms(w, gen_bits, h, tol):
+            yield _complete_layers(w, v_h, h, gen_bits)
     for h in range((m - 1) // 2, 0, -1):
         for v_h in _blade_bottoms(w, gen_bits, h):
             yield _complete_layers(w, v_h, h, gen_bits)
@@ -575,60 +576,59 @@ def _blade_bottoms(w: Zeon, gen_bits: list[int], h: int) -> Iterator[Zeon]:
             yield Zeon.blade(w.n, mask_to_indices(B), a)
 
 
-def _grade_one_bottoms(w: Zeon, gen_bits: list[int],
-                       tol: Tolerance) -> Iterator[Zeon]:
-    """Closed-form candidates ``v = sum_p a_p z{p}`` with ``v*v = w_2``.
+def _bottoms(w: Zeon, gen_bits: list[int], h: int,
+             tol: Tolerance) -> Iterator[Zeon]:
+    """Closed-form bottoms ``v = sum_B a_B z_B`` over grade-``h`` blades
+    with ``v*v = w_2h``, the grade-``2h`` part of ``w``.
 
-    ``v*v`` has coefficient ``t_pq = 2 a_p a_q`` at ``z{p,q}``.  Pivoting
-    on the largest ``t_pq`` fixes ``a_p**2 = t_pq t_pr / (2 t_qr)``
-    through a third index ``r`` linked to both, and every other
-    coefficient follows as ``a_r = t_pr / (2 a_p)``.  Without a linked
-    index, ``a_p`` and ``a_q`` only meet in their product, which the
-    grade-2 part leaves free.  ``a_p = sqrt(t_pq / 2)`` is yielded first,
-    then the splits read from the upper grades of ``w``: for a blade
-    ``p|K`` of ``w`` with ``q`` not in ``K``, leading order gives
-    ``w[p|K] ~ 2 a_p x_K`` and ``w[q|K] ~ 2 a_q x_K``, so
-    ``a_p**2 = (t_pq / 2) w[p|K] / w[q|K]``.  Nothing is yielded when the
-    first candidate misses the grade-2 part, since no split changes
-    whether it matches there.  The caller verifies the completed root.
+    ``v*v`` has coefficient ``t_BC = 2 a_B a_C`` at ``z_(B|C)`` when each
+    blade of ``w_2h`` has one split in the root's support.  Each split
+    ``B|C`` of the largest term of ``w_2h`` is taken once (``B`` holds
+    its lowest generator).  It fixes ``a_B**2 = t_BC t_BD / (2 t_CD)``
+    through the blade ``D`` disjoint from both with the largest
+    ``|t_BD t_CD|``, and then ``a_D = w[B|D] / (2 a_B)`` for every blade
+    ``D`` disjoint from ``B``.  Without a linked ``D``, the product
+    ``a_B a_C`` is all ``w_2h`` fixes: ``a_B = sqrt(t_BC / 2)`` comes
+    first, then the ratios read from the upper grades: for a blade
+    ``B|K`` of ``w`` with ``K`` disjoint from ``C``, leading order gives
+    ``w[B|K] ~ 2 a_B x_K`` and ``w[C|K] ~ 2 a_C x_K``, so
+    ``a_B**2 = (t_BC / 2) w[B|K] / w[C|K]``.  A split yields nothing when
+    its first candidate misses ``w_2h``, since no other candidate changes
+    whether it matches there.  The caller completes and verifies.
     """
     c = dict(zip(*w._tuples()))
-    target = w.grade_part(2)
+    target = w.grade_part(2 * h)
     pivot = max(target.support_masks(), key=lambda mk: abs(c[mk]))
-    p, q = (b for b in gen_bits if b & pivot)
-    t_pq = c[pivot]
-    others = [b for b in gen_bits if not b & pivot]
+    t_BC = c[pivot]
+    blades = _blades_of_grade(gen_bits, h)
+    # the h-subsets of the pivot holding its lowest generator come first
+    halves = _blades_of_grade([b for b in gen_bits if b & pivot], h)
+    for B in halves[:len(halves) // 2]:
+        C = pivot ^ B
+        free = [D for D in blades if not D & B]
 
-    def bottom(a_p_sq: complex) -> Zeon:
-        a_p = cmath.sqrt(a_p_sq)
-        coeffs = {p: a_p, q: t_pq / (2.0 * a_p)}
-        for r in others:
-            coeffs[r] = c.get(p | r, 0j) / (2.0 * a_p)
-        return Zeon(w.n, [(mask_to_indices(b), a)
-                          for b, a in coeffs.items()])
+        def bottom(a_B_sq: complex) -> Zeon:
+            a_B = cmath.sqrt(a_B_sq)
+            return Zeon(w.n, [(mask_to_indices(B), a_B)] + [
+                (mask_to_indices(D), c.get(B | D, 0j) / (2.0 * a_B))
+                for D in free])
 
-    def linked(r: int) -> complex:
-        return c.get(p | r, 0j) * c.get(q | r, 0j)
-
-    link = max(others, key=lambda r: abs(linked(r)), default=None)
-    if link is not None and linked(link) != 0:
-        splits = [t_pq * c[p | link] / (2.0 * c[q | link])]
-    else:
-        splits = [t_pq / 2.0]
-        for mk, w_pk in c.items():
-            if mk.bit_count() < 3 or not mk & p or mk & q:
-                continue
-            w_qk = c.get((mk ^ p) | q, 0j)
-            if w_qk != 0:
-                split = t_pq / 2.0 * w_pk / w_qk
-                if split not in splits:
-                    splits.append(split)
-    v = bottom(splits[0])
-    if not _squares_to(v, target, tol):
-        return
-    yield v
-    for split in splits[1:]:
-        yield bottom(split)
+        t_D = {D: c.get(B | D, 0j) * c.get(C | D, 0j)
+               for D in free if not D & C}
+        link = max(t_D, key=lambda D: abs(t_D[D]), default=None)
+        if link is not None and t_D[link]:
+            splits = [t_BC * c[B | link] / (2.0 * c[C | link])]
+        else:
+            half = t_BC / 2.0
+            splits = dict.fromkeys([half] + [
+                half * w_bk / c[(mk ^ B) | C] for mk, w_bk in c.items()
+                if mk.bit_count() > 2 * h and mk & pivot == B
+                and c.get((mk ^ B) | C)])
+        first, *rest = splits
+        v = bottom(first)
+        if _squares_to(v, target, tol):
+            yield v
+            yield from map(bottom, rest)
 
 
 # -- quadratics ---------------------------------------------------------------

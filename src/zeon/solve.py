@@ -33,6 +33,7 @@ from .errors import (
     RootFindingFailed,
 )
 from .poly import ZeonPoly
+from .textio import format_complex
 
 __all__ = [
     "ScalarRoot",
@@ -314,12 +315,14 @@ def spectrally_simple_zero(phi: ZeonPoly, lam0: complex) -> SpectralZero:
     lam0 = _newton(partial(_horner, f), partial(_horner, fp), complex(lam0))
     if abs(_horner(f, lam0)) > min(tol.root_eps, tol.eq_eps) * scale:
         raise NotSpectrallySimple(
-            f"seed {lam0} is not a root of the scalar projection"
+            f"seed {format_complex(lam0)} is not a root of the scalar "
+            "projection"
         )
     g0 = _horner(fp, lam0)
     if abs(g0) <= tol.root_eps * max(abs(f[-1]), max(map(abs, fp))):
         raise NotSpectrallySimple(
-            f"seed {lam0} is a multiple root of the scalar projection"
+            f"seed {format_complex(lam0)} is a multiple root of the scalar "
+            "projection"
         )
     zero, trace, residual = _lift(phi, Zeon.scalar(phi.n, lam0), g0, scale)
     return SpectralZero(zero, ScalarRoot(lam0, 1, True), len(trace),

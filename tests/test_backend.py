@@ -399,7 +399,11 @@ class TestFusedProduct:
     # product without an addend.  Every product sums three or more pairs
     # on some mask, so any change to the order of those sums changes
     # them.  Keys: n, then the operands' term counts, 88 pairs (dict
-    # path) and 100 and 256 (array path).
+    # path) and 100 and 256 (array path).  The array-path prefixes assume
+    # numpy's AVX2/AVX-512 loops, whose complex multiply fuses
+    # multiply-add; numpy's baseline loops (NPY_DISABLE_CPU_FEATURES=
+    # "X86_V4 X86_V3") round those products otherwise (README,
+    # Reproducibility).
     PINNED = {(4, 8, 11): "3a2eb81ebc47fda1",
               (8, 10, 10): "e2c250d9aa631184",
               (8, 16, 16): "dcc213dd8ef105fb"}
@@ -599,7 +603,10 @@ class TestDenseShapes:
     blades of every grade, 4-7% of the pairs disjoint and many masks
     summing three or more of them, so any change to the order of those
     sums changes the sha256 prefixes of ``repr(result.terms())`` pinned
-    here."""
+    here.  They assume numpy's AVX2/AVX-512 loops, whose complex multiply
+    fuses multiply-add; numpy's baseline loops (NPY_DISABLE_CPU_FEATURES=
+    "X86_V4 X86_V3") round these products otherwise (README,
+    Reproducibility)."""
 
     PINNED = {("mul", 10, 128, 128): "709f303ccf56e8e3",
               ("mul", 11, 256, 256): "065d666439ec6bdd",

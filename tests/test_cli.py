@@ -821,6 +821,17 @@ class TestErrors:
             assert code == 2
             assert error_name(err) == "OutsideDomain"
 
+    def test_diagnostic_point_reads_back_as_a_seed(self):
+        # the point a diagnostic names is written in the CLI's own
+        # grammar, so it can be passed back as --seed
+        args = ("preimage", "--fn", "log", "--n", "1", "--seed")
+        code, _, err = run(*args, "-3", "1")
+        message = json.loads(err)["message"]
+        assert (code, message) == (2, "log is undefined at -3")
+        code, out, err = run(*args, message.rsplit(" at ", 1)[1], "1")
+        assert (code, out) == (2, "")
+        assert error_name(err) == "OutsideDomain"
+
     def test_unknown_fn(self):
         code, _, err = run("extend", "--fn", "gamma", "--n", "1", "1")
         assert code == 1

@@ -636,20 +636,38 @@ class TestNilpotentSqrt:
         got = dense_mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
+    @pytest.mark.parametrize("v0", [
+        # corpus square 229, rounded: z{4,5} links the split z{1,3}|z{7,8}
+        Zeon(8, {(1, 3): 0.234 + 0.465j, (4, 5): 0.911 - 0.731j,
+                 (1, 2, 6): -0.493 - 0.782j, (1, 4, 8): -0.820 + 0.732j,
+                 (7, 8): 0.414 - 0.336j}),
+        # one grade-4 term: the free split a_B**2 = t_BC / 2
+        Zeon(6, {(1, 2): 1, (3, 4): 2, (1, 5, 6): 1}),
+        Zeon(8, {(1, 2): 1 + 2j, (3, 4): -0.5j, (5, 6): 2,
+                 (1, 3, 7): 0.5 - 1j}),
+        # minimum grade 6, read on grade-3 blades
+        Zeon(9, {(1, 2, 3): 1, (4, 5, 6): -0.5j, (7, 8, 9): 2}),
+    ], ids=["corpus-229", "free-split", "complex", "grade-three"])
+    def test_closed_form_bottom_at_half_the_minimum_grade(self, v0,
+                                                          monkeypatch):
+        # with every least-squares fit refused, the bottom layer at grade
+        # m/2 comes in closed form from the splits of w's grade-m part
+        monkeypatch.setattr(zeon.poly, "least_squares",
+                            lambda *args, **kwargs: None)
+        w = v0.mul(v0)
+        v = nilpotent_sqrt(w)
+        want = to_dense(w)
+        got = dense_mul(to_dense(v), to_dense(v))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_square_corpus(self):
-        # 432 squares v*v of 2-5 random blades of grade 1-3 at n = 4-8;
-        # only 229 is not rooted, and every other one is, to rounding
-        missed = []
-        for i, w in enumerate(square_corpus()):
-            try:
-                v = nilpotent_sqrt(w)
-            except SqrtNotFound:
-                missed.append(i)
-                continue
+        # 432 squares v*v of 2-5 random blades of grade 1-3 at n = 4-8,
+        # every one rooted to rounding
+        for w in square_corpus():
+            v = nilpotent_sqrt(w)
             want = to_dense(w)
             got = dense_mul(to_dense(v), to_dense(v))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert set(missed) <= {229}
 
     def test_overflowing_fit_warns_nothing(self):
         # the grade-2 fit from a constant start overflows in its first
@@ -690,13 +708,9 @@ class TestNilpotentSqrt:
             assert nilpotent_sqrt(w.scale(4.0 ** k)) == v.scale(2.0 ** k)
 
     def test_squares_scaled_to_1e300_never_overflow(self):
-        missed = []
-        for i, w in enumerate(square_corpus()):
-            try:
-                nilpotent_sqrt(w.scale(1e300 / w.max_abs()))
-            except SqrtNotFound:
-                missed.append(i)
-        assert set(missed) <= {229}
+        # every one is rooted: no NonFiniteResult and no SqrtNotFound
+        for w in square_corpus():
+            nilpotent_sqrt(w.scale(1e300 / w.max_abs()))
 
 
 # the six grade-2 blades at n = 4

@@ -453,12 +453,13 @@ class TestSpectrallySimpleZero:
     def test_non_root_seed_rejected(self):
         # 0 is the critical point of u**2 - 1; refinement goes nowhere
         phi = ZeonPoly.from_scalars(2, [-1.0, 0.0, 1.0])
-        with pytest.raises(NotSpectrallySimple):
+        with pytest.raises(NotSpectrallySimple, match=r"^seed 0 is not a root "):
             spectrally_simple_zero(phi, 0.0)
 
     def test_multiple_root_seed_rejected(self):
         phi = ZeonPoly.from_scalars(2, [1.0, -2.0, 1.0])
-        with pytest.raises(NotSpectrallySimple):
+        with pytest.raises(NotSpectrallySimple,
+                           match=r"^seed 1 is a multiple root "):
             spectrally_simple_zero(phi, 1.0)
 
     def test_nilpotent_lead_rejected(self):
