@@ -37,11 +37,11 @@ from ._backend import dict_mul, dict_sum, keep_terms, pack
 from .errors import DimensionMismatch, NonFiniteResult, NotInvertible
 
 __all__ = [
+    "MAX_GENERATORS",
     "Tolerance",
     "tolerance",
     "default_tolerance",
     "Zeon",
-    "ZeonLike",
     "indices_to_mask",
     "mask_to_indices",
     "generators",
@@ -516,20 +516,10 @@ def generators(n: int) -> tuple[Zeon, ...]:
     return tuple(Zeon.blade(n, (i,)) for i in range(1, n + 1))
 
 
-def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
-    """``sum_k a_k x**k`` for a nilpotent ``x``, ``a_k`` read from ``coeffs``.
-
-    It reads ``a_k`` only while ``k`` times ``x``'s lowest grade fits in
-    its support, so the ambient ``n`` changes nothing, and stops when a
-    power vanishes or ``coeffs`` runs out.  The power ``x**k`` is held
-    times the largest coefficient from ``a_k`` on and takes its product
-    with ``x`` before it shrinks to the next one, unless that product
-    overflows.  So no power is pruned below the size of a term still to
-    come, a dip in the coefficients (``cos`` at pi) erases nothing after
-    it, and falling coefficients (a root at a large scalar) shrink the
-    power with them.  The scalar term and then the scaled powers are
-    summed once by ``_sum``.
-    """
+def _series_length(x: Zeon) -> int:
+    """How many Taylor coefficients a nilpotent ``x`` reads: ``x**k``
+    vanishes once ``k`` times its lowest grade exceeds its support, so
+    the ambient ``n`` changes nothing."""
     if type(x._idx) is tuple:
         bits = functools.reduce(operator.or_, x._idx, 0)
         low = min(map(int.bit_count, x._idx), default=1)
@@ -537,7 +527,23 @@ def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
         import numpy as np
         bits = int(np.bitwise_or.reduce(x._idx))
         low = int(np.bitwise_count(x._idx).min())
-    a = list(itertools.islice(coeffs, bits.bit_count() // low + 1))
+    return bits.bit_count() // low + 1
+
+
+def _taylor_sum(x: Zeon, coeffs: Iterable[complex]) -> Zeon:
+    """``sum_k a_k x**k`` for a nilpotent ``x``, ``a_k`` read from ``coeffs``.
+
+    It reads ``_series_length(x)`` coefficients at most, and stops
+    early when a power vanishes or ``coeffs`` runs out.  The power
+    ``x**k`` is held times the largest coefficient from ``a_k`` on and
+    takes its product with ``x`` before it shrinks to the next one,
+    unless that product overflows.  So no power is pruned below the size of a term still to
+    come, a dip in the coefficients (``cos`` at pi) erases nothing after
+    it, and falling coefficients (a root at a large scalar) shrink the
+    power with them.  The scalar term and then the scaled powers are
+    summed once by ``_sum``.
+    """
+    a = list(itertools.islice(coeffs, _series_length(x)))
     # big[k]: the coefficient of largest magnitude among a[k:]
     big = list(itertools.accumulate(
         reversed(a), lambda b, c: c if abs(c) > abs(b) else b))[::-1]
@@ -595,7 +601,11 @@ def kth_roots(w: Zeon, k: int) -> list[Zeon]:
 
 
 def _unit_root(j: int, k: int) -> complex:
-    # exp(2*pi*i*j/k), exact on the axes so real inputs keep real roots
+    # exp(2*pi*i*j/k), exact on the axes so real inputs keep real roots,
+    # and past the half turn the conjugate of root k - j, so a conjugate
+    # input gets exactly the conjugate roots
+    if 2 * j > k:
+        return _unit_root(k - j, k).conjugate()
     quarter, rem = divmod(4 * j, k)
     if rem == 0:
         return (1, 1j, -1, -1j)[quarter % 4]

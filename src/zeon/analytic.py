@@ -28,7 +28,8 @@ import re
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .algebra import Zeon, _same_algebra, _taylor_sum, default_tolerance
+from .algebra import (Zeon, _same_algebra, _series_length, _taylor_sum,
+                      default_tolerance)
 from .errors import (
     NonFiniteResult,
     NotSpectrallySimple,
@@ -254,8 +255,11 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
         target, z0, z_at = map(format_complex, (target, z0, z_at))
         raise SeedMismatch(f"no scalar preimage of {target} under {fn.name} "
                            f"from seed {z0}; reached {z_at}, {abs(miss)} away")
-    # f(z_at), f'(z_at), ...: n = 0 still needs the slope
-    a = list(_taylor_coeffs(ZeonExtension(fn, max(ext.n, 1)), z_at))
+    # f(z_at), f'(z_at), ... as far as w's dual part reads the reverted
+    # series; a scalar w still needs the slope
+    dual = w.dual_part()
+    a = list(_taylor_coeffs(
+        ZeonExtension(fn, max(1, _series_length(dual) - 1)), z_at))
     slope = abs(a[1])
     if slope <= tol.root_eps:
         raise NotSpectrallySimple(
@@ -265,7 +269,7 @@ def preimage(ext: ZeonExtension, w: Zeon, z0: complex) -> Zeon:
     form = polynomial_form(ext, z_at)
     psi = ZeonPoly([form.coeffs[0] - w, *form.coeffs[1:]], n=ext.n)
     try:
-        seed = _taylor_sum(w.dual_part(), [z_at, *_reversion(a)])
+        seed = _taylor_sum(dual, [z_at, *_reversion(a)])
     except NonFiniteResult:
         seed = Zeon.scalar(ext.n, z_at)
     zero = _lift(psi, seed, a[1], max(map(abs, form.scalar_projection())))[0]

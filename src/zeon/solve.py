@@ -221,7 +221,8 @@ def scalar_roots(coeffs: Sequence[complex]) -> list[ScalarRoot]:
         if not (cmath.isfinite(v) and abs(_horner(monic, v))
                 <= bound * max(1.0, abs(v)) ** deg):
             raise RootFindingFailed(
-                f"no settled root near {r.value} after {_MAX_ROUNDS} rounds",
+                f"no settled root near {format_complex(r.value)} after "
+                f"{_MAX_ROUNDS} rounds",
                 partial=out,
             )
     return out
@@ -447,9 +448,8 @@ def split(phi: ZeonPoly) -> SolveReport:
                 # into genuine simple roots whose derivative margin is
                 # too thin to lift, or whose lift stalls; report it
                 # instead of dying mid-split
-                warnings.append(
-                    f"scalar root {root.value} resisted lifting: {exc}"
-                )
+                warnings.append(f"scalar root {format_complex(root.value)} "
+                                f"resisted lifting: {exc}")
         elif scalar_only:
             base = Zeon.scalar(phi.n, root.value)
             families.append(ZeroSetDescription(
@@ -457,8 +457,8 @@ def split(phi: ZeonPoly) -> SolveReport:
                 zeros=(base,),
                 family_spec=FamilySpec(
                     text=(
-                        f"{root.value} + d for every nilpotent d with "
-                        f"d**{root.multiplicity} = 0"
+                        f"{format_complex(root.value)} + d for every "
+                        f"nilpotent d with d**{root.multiplicity} = 0"
                     ),
                     scalar=root.value,
                     nilpotency_bound=root.multiplicity,
@@ -467,7 +467,7 @@ def split(phi: ZeonPoly) -> SolveReport:
             ))
         else:
             warnings.append(
-                f"scalar root {root.value} has multiplicity "
+                f"scalar root {format_complex(root.value)} has multiplicity "
                 f"{root.multiplicity}; no spectrally simple zero exists "
                 "above it and the zero set there was not determined"
             )

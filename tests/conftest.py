@@ -1,6 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+# the dense reference lives with the benchmark, whose --check trusts it
+# too; on the path before any test module imports it
+_PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if _PERFBENCH not in sys.path:
+    sys.path.insert(0, _PERFBENCH)
+
+from dense import from_terms
 from zeon import Zeon
 
 # acceptance tests append (number, passed, detail) here; the summary
@@ -47,13 +57,7 @@ def random_nilpotent(rng, n, **kw) -> Zeon:
 
 
 def to_dense(u: Zeon) -> np.ndarray:
-    out = np.zeros(1 << u.n, dtype=np.complex128)
-    for indices, c in u.terms():
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
-        out[mask] = c
-    return out
+    return from_terms(u.n, u.terms())
 
 
 def from_dense(n: int, v: np.ndarray) -> Zeon:

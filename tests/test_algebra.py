@@ -1,7 +1,8 @@
 """Core element arithmetic, grading, inverses, and k-th roots.
 
 Expected values marked "frozen" below were computed with the dense
-brute-force expansion in oracle.py and pasted in as literals.
+brute-force expansion of the dense reference (``perfbench/dense.py``)
+and pasted in as literals.
 """
 
 import cmath
@@ -26,7 +27,8 @@ from zeon import (
 )
 
 from conftest import random_invertible, random_zeon, to_dense
-from oracle import dense_pow, dense_taylor
+from dense import power
+from oracle import dense_taylor
 
 
 def z(n, *terms):
@@ -332,7 +334,7 @@ def test_power_refuses_a_non_integral_exponent():
 ], ids=["nilpotent", "nilpotent-k-above-n", "k-above-n", "k-zero",
         "large-scalar", "unit-modulus-k64"])
 def test_power_matches_dense(u, k):
-    want = dense_pow(to_dense(u), k)
+    want = power(to_dense(u), k)
     assert np.allclose(to_dense(u.power(k)), want, rtol=1e-12,
                        atol=1e-12 * np.abs(want).max())
 
@@ -681,6 +683,17 @@ def test_scalar_algebra_without_generators():
     u = Zeon.scalar(0, 3.0)
     assert (u * u).scalar_part() == 9.0
     assert u.inverse().scalar_part() == pytest.approx(1 / 3)
+
+
+def test_each_module_lists_its_exports():
+    # a submodule's __all__ names exactly what zeon exports from it
+    import importlib
+
+    import zeon
+
+    for module, names in zeon._EXPORTS.items():
+        mod = importlib.import_module(f"zeon.{module}")
+        assert set(mod.__all__) == set(names), module
 
 
 # -- algebraic laws (hypothesis) ----------------------------------------------

@@ -3,13 +3,16 @@
 import cmath
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_zeon, to_dense
-from oracle import (dense_from_terms, dense_inverse, dense_mul,
-                    sparse_mul)
+from dense import from_terms, inverse, mul
+from oracle import sparse_mul
 from zeon import (DimensionMismatch, NonFiniteResult, Tolerance, Zeon,
                   ZeonError, backend_name, tolerance)
 from zeon import _backend
@@ -21,14 +24,31 @@ class TestSelection:
         assert backend_name() == "numpy"
 
 
+def test_reference_imports_no_zeon():
+    # the dense reference and the test helpers on it share no code with
+    # the package, so agreement with them is evidence, not an echo
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "perfbench"), str(here)]
+    script = f"""if True:
+        import sys
+        sys.path[:0] = {paths!r}
+        import dense, oracle
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "zeon"))
+    """
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def dense_of(n: int, masks, coefs) -> np.ndarray:
     """Dense vector of raw (mask, coefficient) pairs, duplicates summed."""
-    return dense_from_terms(n, [(indices_of(int(m)), complex(c))
-                                for m, c in zip(masks, coefs)])
+    return from_terms(n, [(indices_of(int(m)), complex(c))
+                          for m, c in zip(masks, coefs)])
 
 
 def assert_matches(got, want: np.ndarray, prune: float) -> None:
@@ -88,7 +108,7 @@ class TestSmallOperandPaths:
         for _ in range(5):
             ia, ca = canonical(rng, N, sizes[0])
             ib, cb = canonical(rng, N, sizes[1])
-            want = dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
+            want = mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
             for prune in (0.0, 0.5):
                 assert_matches(mul_terms(ia, ca, ib, cb, prune),
                                want, prune)
@@ -97,7 +117,7 @@ class TestSmallOperandPaths:
     def test_product_at_measured_threshold(self, rng, sizes):
         # no forcing: the pair count picks the path in Zeon.mul_add
         a, b = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
-        want = dense_mul(to_dense(a), to_dense(b))
+        want = mul(to_dense(a), to_dense(b))
         assert_matches(arrays_of(a.mul(b)), want, 1e-14)
 
     @pytest.mark.parametrize("sizes", ADD_SIZES)
@@ -145,7 +165,7 @@ class TestSmallOperandPaths:
                  ((1,), -3.5), ((), 0.25), ((1, 2), 1.0), ((1, 2), 1.0)]
         u = Zeon(2, terms)
         assert u.support_masks() == [0, 2, 3]
-        assert np.array_equal(to_dense(u), dense_from_terms(2, terms))
+        assert np.array_equal(to_dense(u), from_terms(2, terms))
         assert u.coeff((1,)) == 0
 
     def test_coefficient_exactly_at_prune_is_dropped(self, path):
@@ -193,7 +213,7 @@ class TestKernelAgreement:
                 b = random_zeon(rng, n)
                 ia, ca = arrays_of(a)
                 ib, cb = arrays_of(b)
-                want = dense_mul(to_dense(a), to_dense(b))
+                want = mul(to_dense(a), to_dense(b))
                 assert_matches(mul_terms(ia, ca, ib, cb, 0.0), want, 0.0)
 
     def test_empty_operand(self):
@@ -277,7 +297,7 @@ class TestStorageForms:
         one = u * v
         self.assert_same(one, Zeon.one(n))
         assert one == 1 and one.is_scalar()
-        assert np.array_equal(dense_mul(to_dense(u), to_dense(v)),
+        assert np.array_equal(mul(to_dense(u), to_dense(v)),
                               to_dense(Zeon.one(n)))
 
     @pytest.mark.parametrize("size", [15, 16, 17])
@@ -302,10 +322,10 @@ class TestStorageForms:
             for x, y in zip(want, got):
                 self.assert_same(x, y)
         da, db, dc = to_dense(a), to_dense(b), to_dense(c)
-        assert np.array_equal(to_dense(want[1]), dense_mul(da, db))
+        assert np.array_equal(to_dense(want[1]), mul(da, db))
         assert np.array_equal(to_dense(want[3]), da + db)
-        assert np.array_equal(to_dense(want[8]), dense_mul(dc, dc))
-        assert np.array_equal(to_dense(a), dense_from_terms(n, a.terms()))
+        assert np.array_equal(to_dense(want[8]), mul(dc, dc))
+        assert np.array_equal(to_dense(a), from_terms(n, a.terms()))
 
 
 def zeon_of(n: int, masks, coefs) -> Zeon:
@@ -327,7 +347,7 @@ class TestFusedProduct:
             ia, ca = canonical(rng, N, sizes[0])
             ib, cb = canonical(rng, N, sizes[1])
             ic, cc = canonical(rng, N, sizes[2])
-            want = (dense_mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
+            want = (mul(dense_of(N, ia, ca), dense_of(N, ib, cb))
                     + dense_of(N, ic, cc))
             for prune in (0.0, 0.5):
                 assert_matches(mul_terms(ia, ca, ib, cb, prune, ic, cc),
@@ -337,7 +357,7 @@ class TestFusedProduct:
     def test_element_matches_oracle(self, rng, path, sizes):
         for _ in range(5):
             a, b, c = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
-            want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+            want = mul(to_dense(a), to_dense(b)) + to_dense(c)
             assert_matches(arrays_of(a.mul_add(b, c)), want, 1e-14)
 
     def test_small_product_with_wide_addend(self, rng):
@@ -345,7 +365,7 @@ class TestFusedProduct:
         a, b = (zeon_of(N, *canonical(rng, N, 3)) for _ in range(2))
         c = zeon_of(N, *canonical(rng, N, 40))
         assert len(c.terms()) > _backend.SMALL_TERMS
-        want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+        want = mul(to_dense(a), to_dense(b)) + to_dense(c)
         assert_matches(arrays_of(a.mul_add(b, c)), want, 1e-14)
 
     def test_exact_cancellation(self, rng, path):
@@ -443,7 +463,7 @@ class TestProductRoute:
         for _ in range(3):
             a, b, c = (zeon_of(N, *canonical(rng, N, k)) for k in sizes)
             assert len(a.terms()) * len(b.terms()) <= _backend.SMALL_PAIRS
-            want = dense_mul(to_dense(a), to_dense(b)) + to_dense(c)
+            want = mul(to_dense(a), to_dense(b)) + to_dense(c)
             got = a.mul_add(b, c) if sizes[2] else a.mul(b)
             assert_matches(arrays_of(got), want, 1e-14)
 
@@ -750,7 +770,7 @@ class TestInOrderSums:
         got = u.inverse()
         assert combines == []
         assert repr(got.terms()) == repr(want.terms())
-        assert np.allclose(to_dense(got), dense_inverse(to_dense(u)),
+        assert np.allclose(to_dense(got), inverse(to_dense(u)),
                            rtol=0.0, atol=1e-13)
 
     @staticmethod

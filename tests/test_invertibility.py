@@ -3,7 +3,7 @@ scalar part or leading coefficient draws the line at the same ``eq_eps``.
 
 Under ``eq_eps = 1e-3`` a scalar part of exactly ``1e-3`` is refused and
 one of ``1.001e-3`` is accepted.  The accepted results are checked
-against the dense oracle in ``oracle.py``.
+against the dense reference, ``perfbench/dense.py``.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from zeon import (
 )
 
 from conftest import to_dense
-from oracle import dense_inverse, dense_mul, dense_pow
+from dense import inverse, mul, power
 
 EPS = 1e-3
 REFUSED, ACCEPTED = EPS, 1.001e-3
@@ -49,40 +49,40 @@ CASES = {
     "inverse": (
         NotInvertible,
         lambda c: to_dense(element(c).inverse()),
-        dense_inverse),
+        inverse),
     "kth_roots": (
         NotInvertible,
-        lambda c: dense_pow(to_dense(kth_roots(element(c), 2)[1]), 2),
+        lambda c: power(to_dense(kth_roots(element(c), 2)[1]), 2),
         lambda a: a),
     "principal_kth_root": (
         NotInvertible,
-        lambda c: dense_pow(to_dense(principal_kth_root(element(c), 3)), 3),
+        lambda c: power(to_dense(principal_kth_root(element(c), 3)), 3),
         lambda a: a),
     "monic": (
         LeadingCoefficientNotInvertible,
         lambda c: to_dense(ZeonPoly([Zeon.one(2), element(c)]).monic()
                            .coeff(0)),
-        dense_inverse),
+        inverse),
     "divide": (
         DivisorNotMonicizable,
         lambda c: to_dense(divide(ZeonPoly.monomial(2, 1),
                                   ZeonPoly.monomial(2, 1, element(c)))
                            .quotient.coeff(0)),
-        dense_inverse),
+        inverse),
     "split": (
         LeadingCoefficientNotInvertible,
         lambda c: to_dense(split(inverting(c)).spectral_zeros[0].zero),
-        dense_inverse),
+        inverse),
     "spectrally_simple_zero": (
         LeadingCoefficientNotInvertible,
         lambda c: to_dense(spectrally_simple_zero(inverting(c), 1 / c).zero),
-        dense_inverse),
+        inverse),
     "quadratic_solve": (
         LeadingCoefficientNotInvertible,
         # element(c) * u**2 = 1, so each zero squares to the inverse
-        lambda c: [dense_mul(v, v) for v in map(to_dense, quadratic_solve(
+        lambda c: [mul(v, v) for v in map(to_dense, quadratic_solve(
             element(c), Zeon.zero(2), Zeon.scalar(2, -1.0)).zeros)],
-        dense_inverse),
+        inverse),
 }
 
 
@@ -105,4 +105,4 @@ def test_nilpotent_sqrt_takes_a_scalar_part_up_to_eq_eps_as_nilpotent():
         root = nilpotent_sqrt(w + REFUSED)
         with pytest.raises(ValueError, match="nilpotent"):
             nilpotent_sqrt(w + ACCEPTED)
-    assert np.allclose(dense_mul(to_dense(root), to_dense(root)), to_dense(w))
+    assert np.allclose(mul(to_dense(root), to_dense(root)), to_dense(w))

@@ -1,7 +1,8 @@
 """Polynomial layer: construction, division, discriminants, quadratics.
 
 Frozen expected values in this file were computed with the dense
-reference in ``oracle.py`` (see the derivation comments next to each).
+reference, ``perfbench/dense.py`` (see the derivation comments next to
+each).
 """
 
 import collections
@@ -32,7 +33,8 @@ from zeon import (
 from zeon.poly import MAX_UNKNOWNS, _pair_table, least_squares
 
 from conftest import random_invertible, random_zeon, to_dense
-from oracle import dense_mul, dense_poly_eval, dense_zero
+from dense import horner, mul
+from oracle import dense_zero
 
 Z1 = Zeon.blade(2, (1,))
 Z2 = Zeon.blade(2, (2,))
@@ -162,7 +164,7 @@ class TestEval:
             coeffs = [random_zeon(rng, n) for _ in range(4)]
             p = ZeonPoly(coeffs, n=n)
             u = random_zeon(rng, n)
-            want = dense_poly_eval([to_dense(c) for c in coeffs], to_dense(u))
+            want = horner([to_dense(c) for c in coeffs], to_dense(u))
             assert np.allclose(to_dense(p.eval(u)), want, atol=1e-12)
 
 
@@ -197,7 +199,7 @@ class TestArithmetic:
             for i, ai in enumerate(a):
                 j = k - i
                 if 0 <= j < len(b):
-                    acc = acc + dense_mul(to_dense(ai), to_dense(b[j]))
+                    acc = acc + mul(to_dense(ai), to_dense(b[j]))
             assert np.allclose(to_dense(prod.coeff(k)), acc, atol=1e-12)
 
     def test_product_by_zero(self):
@@ -466,7 +468,7 @@ class TestDivide:
     def test_remainder_at_equals_eval(self, rng):
         p = ZeonPoly([random_zeon(rng, 3) for _ in range(4)], n=3)
         z = random_zeon(rng, 3)
-        want = dense_poly_eval([to_dense(c) for c in p.coeffs], to_dense(z))
+        want = horner([to_dense(c) for c in p.coeffs], to_dense(z))
         assert np.abs(to_dense(remainder_at(p, z)) - want).max() <= 1e-9
 
     def test_remainder_at_known_value(self):
@@ -548,7 +550,7 @@ class TestNilpotentSqrt:
         monkeypatch.setattr(zeon.poly, "least_squares", refuse)
         w = v0.mul(v0)
         v = nilpotent_sqrt(w)
-        got = dense_mul(to_dense(v), to_dense(v))
+        got = mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
     def test_layered_root(self):
@@ -588,7 +590,7 @@ class TestNilpotentSqrt:
         # c z{1,2} = (a z1 + b z2)^2 whenever 2ab = c
         w = Z12.scale(c)
         v = nilpotent_sqrt(w)
-        got = dense_mul(to_dense(v), to_dense(v))
+        got = mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
     @pytest.mark.parametrize("v0", [
@@ -607,7 +609,7 @@ class TestNilpotentSqrt:
         monkeypatch.setattr(zeon.poly, "least_squares", refuse)
         w = v0.mul(v0)
         v = nilpotent_sqrt(w)
-        got = dense_mul(to_dense(v), to_dense(v))
+        got = mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
     @pytest.mark.parametrize("v0", [
@@ -633,7 +635,7 @@ class TestNilpotentSqrt:
         # all-layer fit runs
         w = v0.mul(v0)
         v = nilpotent_sqrt(w)
-        got = dense_mul(to_dense(v), to_dense(v))
+        got = mul(to_dense(v), to_dense(v))
         assert np.abs(got - to_dense(w)).max() < 1e-12
 
     @pytest.mark.parametrize("v0", [
@@ -657,7 +659,7 @@ class TestNilpotentSqrt:
         w = v0.mul(v0)
         v = nilpotent_sqrt(w)
         want = to_dense(w)
-        got = dense_mul(to_dense(v), to_dense(v))
+        got = mul(to_dense(v), to_dense(v))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_square_corpus(self):
@@ -666,7 +668,7 @@ class TestNilpotentSqrt:
         for w in square_corpus():
             v = nilpotent_sqrt(w)
             want = to_dense(w)
-            got = dense_mul(to_dense(v), to_dense(v))
+            got = mul(to_dense(v), to_dense(v))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_overflowing_fit_warns_nothing(self):
@@ -896,7 +898,7 @@ class TestQuadraticSolve:
             assert out.kind is not QuadraticKind.UNDETERMINED, out.note
             coeffs = [to_dense(c) for c in (gamma, beta, alpha)]
             for z in out.zeros:
-                assert np.abs(dense_poly_eval(coeffs, to_dense(z))).max() \
+                assert np.abs(horner(coeffs, to_dense(z))).max() \
                     < 1e-9
 
     @staticmethod
@@ -912,7 +914,7 @@ class TestQuadraticSolve:
         scale = max(1.0, *(c.max_abs() for c in coeffs))
         assert zeros
         for z in zeros:
-            assert np.abs(dense_poly_eval(dense, to_dense(z))).max() \
+            assert np.abs(horner(dense, to_dense(z))).max() \
                 <= 1e-9 * scale
 
     def test_discriminant_dust_certifies_nothing(self):

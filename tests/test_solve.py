@@ -24,12 +24,13 @@ from zeon import (
     scalar_roots,
     spectrally_simple_zero,
     split,
+    parse_complex,
     tolerance,
 )
 from zeon.solve import _cluster_and_polish, _der, _horner, _lift, _shift
 
 from conftest import random_nilpotent, random_zeon, to_dense
-from oracle import dense_poly_eval, dense_scalar
+from dense import horner, scalar
 
 Z1 = Zeon.blade(2, (1,))
 Z2 = Zeon.blade(2, (2,))
@@ -86,6 +87,23 @@ class TestScalarRoots:
         assert len(partial) == 3
         assert partial[0].value == pytest.approx(want[0].value * (1 + 1e-3))
         assert partial[1:] == want[1:]
+
+    def test_unsettled_root_is_named_in_the_cli_grammar(self, monkeypatch):
+        import zeon.solve
+
+        polish = zeon.solve._cluster_and_polish
+
+        def moved(*args):
+            merged = polish(*args)
+            merged[0] = (merged[0][0] * (1 + 1e-3), merged[0][1])
+            return merged
+
+        monkeypatch.setattr(zeon.solve, "_cluster_and_polish", moved)
+        # (u - (1+2i))(u - 3)
+        with pytest.raises(RootFindingFailed) as info:
+            scalar_roots([3 + 6j, -4 - 2j, 1.0])
+        point = str(info.value).split("no settled root near ")[1].split()[0]
+        assert parse_complex(point) in {r.value for r in info.value.partial}
 
     def test_linear(self):
         (r,) = scalar_roots([3.0, -1.0])
@@ -675,6 +693,27 @@ class TestSplit:
         (warning,) = report.warnings
         assert "stalled" in warning
 
+    def test_points_read_back_as_cli_literals(self):
+        # a family's text and each warning name the scalar root in the
+        # CLI's complex grammar, so the point parses back to the root
+        c = Zeon.scalar(2, 0.5 - 1.25j)
+        cases = [
+            (ZeonPoly.from_roots(2, [c, c]),
+             lambda r: r.families[0].family_spec.text, " + d for every "),
+            (ZeonPoly.from_roots(2, [c, c + Z1]),
+             lambda r: r.warnings[0], " has multiplicity "),
+            (ZeonPoly.from_roots(3, [
+                Zeon(3, {(): 1, (1,): 1, (3,): 1}),
+                Zeon(3, {(): 1.000001, (2,): 1, (1, 2, 3): 1})]),
+             lambda r: r.warnings[0], " resisted lifting: "),
+        ]
+        for phi, text_of, after in cases:
+            report = split(phi)
+            text = text_of(report)
+            point = text.removeprefix("scalar root ").split(after)[0]
+            assert parse_complex(point) in {
+                r.value for r in report.scalar_spectrum}, text
+
     def test_real_coefficients_lift_real_roots_to_real_zeros(self, rng):
         # with real zeon coefficients, every correction of the lift above
         # a real scalar root is real: the zero has no imaginary part
@@ -795,8 +834,8 @@ class TestIsExtensionZero:
             for w in (random_zeon(rng, n), blades, blades + 2.5,
                       Zeon.scalar(n, -1j)):
                 for deg in range(3):
-                    zeros = [dense_scalar(n, 0)] * (deg + 1)
-                    assert not dense_poly_eval(zeros, to_dense(w)).any()
+                    zeros = [scalar(n, 0)] * (deg + 1)
+                    assert not horner(zeros, to_dense(w)).any()
                     assert is_extension_zero([0.0] * (deg + 1), w)
 
     def test_empty_coeffs_rejected(self):
